@@ -9,8 +9,10 @@ of ``bench_engine_throughput.py`` (warm per-call loop, serial
 the engine's own ``abft_engine_stage_seconds_total`` counters, then
 verifies the fast kernels bitwise against the reference implementations:
 
-* ``fused_encode`` output == ``encode_partitioned_*_reference`` (the old
-  per-block loop / transpose kernels, kept as oracles);
+* ``fused_encode``'s block checksums == the checksum rows/columns of
+  ``encode_partitioned_*_reference`` (the per-block loop / transpose
+  kernels, kept as oracles), and its top-p data == ``top_p_of_rows`` /
+  ``top_p_of_columns`` of those reference encodings;
 * the grid-based check == ``check_partitioned(..., use_grids=False)``
   (the scalar per-comparison tolerance loop) — discrepancies, findings
   and located errors;
@@ -121,13 +123,21 @@ def reference_stage_times(a, bs) -> tuple[float, float]:
 
 def verify_bitwise(engine, a, b) -> None:
     """Fast kernels must reproduce the reference kernels bit for bit."""
-    # Fused encode vs the loop/transpose reference kernels.
+    # Side-product encode vs the loop/transpose reference kernels: the thin
+    # checksum blocks are the reference's checksum rows/columns, and the
+    # top-p data is the per-vector search over the reference encoding.
     fa = fused_encode(a, "a", BLOCK_SIZE, p=P)
-    ra, _ = encode_partitioned_columns_reference(a, BLOCK_SIZE)
-    assert np.array_equal(fa.encoded, ra), "fused A encode diverged"
+    ra, row_layout = encode_partitioned_columns_reference(a, BLOCK_SIZE)
+    assert np.array_equal(
+        fa.checksums, ra[row_layout.all_checksum_indices()]
+    ), "A checksum blocks diverged"
+    assert_tops_equal(fa, top_p_of_rows(ra, P), "A")
     fb = fused_encode(b, "b", BLOCK_SIZE, p=P)
-    rb, _ = encode_partitioned_rows_reference(b, BLOCK_SIZE)
-    assert np.array_equal(fb.encoded, rb), "fused B encode diverged"
+    rb, col_layout = encode_partitioned_rows_reference(b, BLOCK_SIZE)
+    assert np.array_equal(
+        fb.checksums, rb[:, col_layout.all_checksum_indices()]
+    ), "B checksum blocks diverged"
+    assert_tops_equal(fb, top_p_of_columns(rb, P), "B")
 
     # Engine (grid) check vs the scalar per-comparison reference loop.
     res = engine.matmul(a, b)
@@ -155,6 +165,18 @@ def verify_bitwise(engine, a, b) -> None:
     )
     assert report.error_detected, "injected fault went undetected"
     assert (17, 23) in report.located_errors
+
+
+def assert_tops_equal(encoded, tops, side: str) -> None:
+    """An encode's stacked top-p data equals the per-vector reference."""
+    assert len(tops) == encoded.top_values.shape[0], f"{side} top-p count"
+    for k, top in enumerate(tops):
+        assert np.array_equal(encoded.top_values[k], top.values), (
+            f"{side} top-p values diverged at vector {k}"
+        )
+        assert np.array_equal(encoded.top_indices[k], top.indices), (
+            f"{side} top-p indices diverged at vector {k}"
+        )
 
 
 def stage_delta(engine, before: dict) -> dict:

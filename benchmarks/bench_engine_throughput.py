@@ -6,8 +6,10 @@ MatmulEngine` must run at least 2x the throughput of the pre-engine
 per-call implementation (re-derived here verbatim from the repository's
 primitives: pad -> encode -> top-p -> matmul -> scalar partitioned check
 -> extract).  Also measures the batched and encoded-handle paths and
-verifies all of them bitwise against the baseline, plus single-fault
-detection through the handle path.
+verifies every product bitwise against ``np.matmul`` (the engine's
+side-product layout returns the raw GEMM's bytes) and every verdict
+against the baseline, plus single-fault detection through the handle
+path.
 
 Run directly::
 
@@ -179,17 +181,20 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  encoded handle     : {handle_seconds:8.2f} s "
           f"({handle_seconds / repeats * 1e3:7.1f} ms/call)")
 
-    # --- correctness: every path bitwise equal to the seed path ---------
+    # --- correctness: every path's product is the raw GEMM's bytes ------
+    # The engine multiplies the raw operands (side-product layout), so its
+    # result is ``np.matmul``'s own bytes; the seed path's interleaved
+    # GEMM rounds differently on some shapes, so it only pins the verdict.
     for name, results in (
         ("engine", engine_results),
         ("batched", batched_results),
         ("pipelined", pipelined_results),
         ("handle", handle_results),
     ):
-        for ref, res in zip(baseline_results, results):
-            assert np.array_equal(ref.c, res.c), f"{name} path diverged"
+        for b, ref, res in zip(bs, baseline_results, results):
+            assert np.array_equal(np.matmul(a, b), res.c), f"{name} path diverged"
             assert ref.detected == res.detected == False  # noqa: E712
-    print("  all paths bitwise identical to the seed per-call path")
+    print("  all paths bitwise identical to np.matmul, verdicts to the seed path")
 
     # --- a single injected fault must still be detected ------------------
     faulty = engine.matmul(handle, bs[0])

@@ -23,6 +23,7 @@ from typing import Protocol
 import numpy as np
 
 from ..errors import ShapeError
+from ..telemetry import get_registry
 from .encoding import PartitionedLayout
 
 __all__ = [
@@ -170,7 +171,10 @@ def check_partitioned(
     ``epsilons``, collects failures, and intersects them per block to locate
     erroneous elements.  ``use_grids=False`` forces the scalar
     per-comparison tolerance loop even for providers with an array form
-    (the reference path property tests compare against).
+    (the reference path property tests compare against).  A provider
+    whose array form raises falls back to the scalar loop, counted in the
+    process registry's ``abft_check_grid_fallbacks_total{reason}`` with
+    the exception's type name as the reason.
     """
     c_fc = np.asarray(c_fc, dtype=np.float64)
     if c_fc.shape != (row_layout.encoded_rows, col_layout.encoded_rows):
@@ -189,12 +193,18 @@ def check_partitioned(
     if use_grids and epsilon_grids is not None:
         try:
             grids = epsilon_grids(row_layout, col_layout)
-        except Exception:
+        except Exception as exc:
             # The array form may reject inputs the scalar path tolerates
             # (e.g. non-finite upper bounds from corrupted operands, where
             # the scalar loop yields NaN tolerances and the non-finite
             # discrepancy still fails the comparison).  The scalar loop is
-            # the semantic reference, so fall back to it.
+            # the semantic reference, so fall back to it — counted.
+            get_registry().counter(
+                "abft_check_grid_fallbacks_total",
+                "check_partitioned fallbacks from the tolerance-grid form "
+                "to the scalar per-comparison loop",
+                ("reason",),
+            ).labels(reason=type(exc).__name__).inc()
             grids = None
     if grids is not None:
         col_eps, row_eps = grids

@@ -18,7 +18,6 @@ and the simulated pipeline without branching::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -55,17 +54,19 @@ class ProtectedResult(Protocol):
         ...
 
 
-@dataclass
 class AbftResult:
     """Everything an ABFT-protected multiplication produced.
 
     Attributes
     ----------
     c:
-        The data result matrix (checksums and padding stripped) — what an
-        unprotected ``a @ b`` would have returned.
+        The data result matrix — what an unprotected ``a @ b`` returns.
+        On the engine it is the compute backend's GEMM of the raw
+        operands itself (on the numpy backend, ``np.matmul``'s bytes).
     c_fc:
-        The raw full-checksum result (encoded coordinates).
+        The full-checksum result in encoded coordinates.  Engine results
+        carry the side products instead and assemble this matrix on first
+        access, which costs a copy.
     report:
         The checksum check report.
     row_layout / col_layout:
@@ -87,20 +88,59 @@ class AbftResult:
     fused_fallback:
         ``None`` when the requested fusion strategy ran; otherwise the
         never-silent record of why a fused request executed separately.
+    products:
+        The :class:`~repro.kernels.sideproduct.SideProducts` ``C``, ``R``,
+        ``K`` and ``X`` the engine computed (``None`` for results built
+        from a full-checksum matrix).
     """
 
-    c: np.ndarray
-    c_fc: np.ndarray
-    report: CheckReport
-    row_layout: PartitionedLayout
-    col_layout: PartitionedLayout
-    provider: EpsilonProvider
-    backend: str | None = None
-    backend_fallback: str | None = None
-    fused: bool = False
-    fused_fallback: str | None = None
+    def __init__(
+        self,
+        c: np.ndarray,
+        c_fc: np.ndarray | None,
+        report: CheckReport,
+        row_layout: PartitionedLayout,
+        col_layout: PartitionedLayout,
+        provider: EpsilonProvider,
+        backend: str | None = None,
+        backend_fallback: str | None = None,
+        fused: bool = False,
+        fused_fallback: str | None = None,
+        products=None,
+    ) -> None:
+        if c_fc is None and products is None:
+            raise ValueError("a result needs c_fc or its side products")
+        self.c = c
+        self._c_fc = c_fc
+        self.report = report
+        self.row_layout = row_layout
+        self.col_layout = col_layout
+        self.provider = provider
+        self.backend = backend
+        self.backend_fallback = backend_fallback
+        self.fused = fused
+        self.fused_fallback = fused_fallback
+        self.products = products
+
+    @property
+    def c_fc(self) -> np.ndarray:
+        """The full-checksum result (assembled from the side products)."""
+        if self._c_fc is None:
+            from ..kernels.sideproduct import assemble_full_checksum
+
+            self._c_fc = assemble_full_checksum(
+                self.products, self.row_layout, self.col_layout
+            )
+        return self._c_fc
 
     @property
     def detected(self) -> bool:
         """Whether the check flagged any comparison."""
         return self.report.error_detected
+
+    def __repr__(self) -> str:
+        return (
+            f"AbftResult(shape={self.c.shape}, dtype={self.c.dtype}, "
+            f"detected={self.detected}, backend={self.backend!r}, "
+            f"fused={self.fused})"
+        )

@@ -3,8 +3,8 @@
 In the spirit of A-ABFT's "autonomous, no user-provided tuning": for each
 ``(shape, dtype, scheme, block_size, p)`` key the tuner times candidate
 ``(backend, tile)`` configurations on warm-up calls over synthetic
-operands of the *encoded* GEMM shapes (checksum rows/columns included, so
-the timed problem is exactly what the engine dispatches), picks the
+operands of the result GEMM's shape (the engine's ``C = A @ B``; the thin
+checksum products ride along at about ``2/BS`` of its flops), picks the
 fastest, and persists the winner to a JSON cache
 (``AABFT_AUTOTUNE_CACHE``, default ``~/.cache/aabft/autotune.json``).
 
@@ -257,15 +257,6 @@ class AutotuneCache:
                 pass
 
 
-def _encoded_dims(m: int, q: int, block_size: int) -> tuple[int, int]:
-    """Encoded result dims (data + checksum rows/cols) for an m x q result."""
-    m_pad = m + (-m) % block_size
-    q_pad = q + (-q) % block_size
-    rows = PartitionedLayout(data_rows=m_pad, block_size=block_size)
-    cols = PartitionedLayout(data_rows=q_pad, block_size=block_size)
-    return rows.encoded_rows, cols.encoded_rows
-
-
 class Autotuner:
     """Times candidate ``(backend, tile)`` configs and caches the winner.
 
@@ -335,9 +326,8 @@ class Autotuner:
 
     def candidate_tiles(self, m: int, q: int, block_size: int) -> list[int]:
         """Tile-edge candidates: the encoding block and small multiples,
-        capped to tiles that actually subdivide the encoded result."""
-        rows_enc, cols_enc = _encoded_dims(m, q, block_size)
-        largest = max(rows_enc, cols_enc)
+        capped to tiles that actually subdivide the result."""
+        largest = max(m, q)
         tiles = [
             t
             for t in (block_size, 2 * block_size, 4 * block_size)
@@ -374,11 +364,10 @@ class Autotuner:
                 self._m_events.labels(event="cache_hit").inc()
                 return cached
 
-        rows_enc, cols_enc = _encoded_dims(m, q, cfg.block_size)
         rng = np.random.default_rng(seed)
         dt = np.dtype(dtype)
-        a = rng.standard_normal((rows_enc, n)).astype(dt, copy=False)
-        b = rng.standard_normal((n, cols_enc)).astype(dt, copy=False)
+        a = rng.standard_normal((m, n)).astype(dt, copy=False)
+        b = rng.standard_normal((n, q)).astype(dt, copy=False)
 
         baseline = self._time("numpy", None, a, b)
         best = TunedChoice(
@@ -424,12 +413,10 @@ class Autotuner:
         return best
 
     def candidate_tile_blocks(self, m: int, q: int, block_size: int) -> list[int]:
-        """Fused tile-edge candidates in whole encoded blocks per axis,
-        capped to edges that actually subdivide the encoded result."""
-        rows_enc, cols_enc = _encoded_dims(m, q, block_size)
-        stride = block_size + 1
-        largest = max(rows_enc, cols_enc)
-        return [tb for tb in (2, 4, 8) if tb * stride < largest]
+        """Fused tile-edge candidates in whole blocks per axis, capped to
+        edges that actually subdivide the result."""
+        largest = max(m, q)
+        return [tb for tb in (2, 4, 8) if tb * block_size < largest]
 
     def _tune_fusion(
         self, best: TunedChoice, cfg, a: np.ndarray, b: np.ndarray,
@@ -447,25 +434,31 @@ class Autotuner:
         compared (hysteresis applies to the component that can differ,
         not to the GEMM term that is equal by construction).
         """
-        from ..abft.checking import column_discrepancies, row_discrepancies
         from ..kernels.online_fused import online_fused_matmul
+        from ..kernels.sideproduct import (
+            block_checksums,
+            side_discrepancies,
+            side_products,
+        )
 
         backend = self.registry.get(best.backend)
         if not backend.capabilities().fused_online:
             self._m_fusion.labels(decision="unsupported").inc()
             return best
-        tile_blocks = self.candidate_tile_blocks(m, q, cfg.block_size)
+        bs = cfg.block_size
+        tile_blocks = self.candidate_tile_blocks(m, q, bs)
 
-        m_pad = m + (-m) % cfg.block_size
-        q_pad = q + (-q) % cfg.block_size
-        row_layout = PartitionedLayout(data_rows=m_pad, block_size=cfg.block_size)
-        col_layout = PartitionedLayout(data_rows=q_pad, block_size=cfg.block_size)
-        c = backend.matmul(a, b, tile=best.tile)
+        row_layout = PartitionedLayout(data_rows=m + (-m) % bs, block_size=bs)
+        col_layout = PartitionedLayout(data_rows=q + (-q) % bs, block_size=bs)
+        ea = block_checksums(a, "a", bs)
+        eb = block_checksums(b, "b", bs)
+        products = side_products(
+            a, ea, b, eb, lambda x, y: backend.matmul(x, y, tile=best.tile)
+        )
         check_s = float("inf")
         for _ in range(self.repeats):
             t0 = time.perf_counter()
-            column_discrepancies(c, row_layout)
-            row_discrepancies(c, col_layout)
+            side_discrepancies(products, row_layout, col_layout)
             check_s = min(check_s, time.perf_counter() - t0)
 
         col_eps = np.full(
@@ -482,7 +475,7 @@ class Autotuner:
         degenerate_check_s = float("inf")
         for i in range(self.repeats + 1):
             outcome = online_fused_matmul(
-                a, b,
+                a, ea, b, eb,
                 row_layout=row_layout,
                 col_layout=col_layout,
                 col_eps=col_eps,
@@ -504,7 +497,7 @@ class Autotuner:
             for i in range(self.repeats + 1):
                 t0 = time.perf_counter()
                 online_fused_matmul(
-                    a, b,
+                    a, ea, b, eb,
                     row_layout=row_layout,
                     col_layout=col_layout,
                     col_eps=col_eps,

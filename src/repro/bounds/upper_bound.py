@@ -66,6 +66,22 @@ class TopP:
         return float(self.values[-1])
 
 
+#: Vector length of one block of the two-level top-p search.
+SEARCH_BLOCK = 16
+
+#: Operand bytes one chunk of a multi-pass kernel keeps cache-resident:
+#: the passes run chunk by chunk, so each chunk is read from memory once
+#: however many passes touch it.
+CHUNK_BYTES = 1 << 19
+
+#: Column searches of matrices up to this size run as a row search of the
+#: transpose.  Its fixed cost is a quarter of the two-level search's, and
+#: its transpose copy is cheap below this size (2-CPU x86 host, p=2:
+#: 17 vs 72 us at 64x8 float64, 157 vs 206 us at 256x256 float64); above
+#: it the copy dominates (33 vs 8 ms at 2048x2048 float64).
+_TRANSPOSE_BYTES = 1 << 19
+
+
 def top_p_arrays(
     matrix: np.ndarray, p: int, axis: int, *, pool=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -73,63 +89,176 @@ def top_p_arrays(
 
     Returns ``(values, indices)`` of shape ``(k, p)`` where ``k`` is the
     number of vectors (rows for ``axis=1``, columns for ``axis=0``) and each
-    row holds the vector's ``p`` largest absolute values in descending order.
-    This is the array form of :func:`top_p_of_rows` /
+    row holds the vector's ``p`` largest absolute values in descending order
+    (as float64).  This is the array form of :func:`top_p_of_rows` /
     :func:`top_p_of_columns`; the engine's vectorised checking path consumes
     it directly without materialising per-vector :class:`TopP` objects.
 
-    The search runs ``p`` rounds of a strict maximum over all vectors at
-    once — the array analog of Algorithm 1's max search — so ties in
-    absolute value resolve to the *lowest* index, exactly like the
-    reference kernel's ``>`` comparison.  Both axes share one row-major
-    core (``axis=0`` searches a contiguous transpose copy), so
-    :func:`top_p_of_rows` of ``M.T`` and :func:`top_p_of_columns` of ``M``
-    agree bitwise.
+    The result is that of ``p`` rounds of Algorithm 1's strict maximum
+    search: ties in absolute value resolve to the *lowest* index, NaN is
+    never selected (it loses every ``>`` comparison), and a selected entry
+    is excluded from later rounds.  The search runs in the operand's own
+    floating dtype, with no float64 upcast.  Rows
+    (``axis=1``) take ``p`` rounds of a contiguous ``argmax``, a
+    cache-sized chunk of rows at a time.  Columns (``axis=0``) are
+    searched in two levels: every column is cut into blocks of
+    :data:`SEARCH_BLOCK` entries, one chunked pass takes the block maxima
+    of ``|x|``, and each round picks the first block holding the column's
+    maximum, then the first entry inside it that holds it.  That is the
+    first occurrence of the maximum overall, so both axes agree bitwise
+    with the literal scan.  A column search of a matrix of up to 512 KiB
+    writes ``|x|`` transposed into the scratch buffer and runs the row
+    search instead, which costs fewer calls at that size; larger matrices
+    are never transposed.
 
     ``pool``, when given, must provide ``take(shape, dtype)`` / ``give(buf)``
     (see :class:`repro.engine.plan.WorkspacePool`); the absolute-value
     scratch buffer is then recycled instead of allocated per call.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
+    if matrix.dtype.kind != "f":
+        matrix = matrix.astype(np.float64)
     length = matrix.shape[axis]
     if not 1 <= p <= length:
         raise ValueError(f"p must be in 1..{length}, got {p}")
+    if axis == 0 and matrix.nbytes <= _TRANSPOSE_BYTES:
+        k = matrix.shape[1]
+        vals = np.empty((k, p))
+        idx = np.empty((k, p), dtype=np.intp)
+        work = _take(pool, (k, length), matrix.dtype)
+        np.abs(matrix.T, out=work)
+        _top_p_rows(work, p, vals, idx)
+        _give(pool, work)
+        return vals, idx
     if axis == 1:
-        work = _take(pool, matrix.shape)
+        m = matrix.shape[0]
+        vals = np.empty((m, p))
+        idx = np.empty((m, p), dtype=np.intp)
+        step = _chunk_rows(matrix, 1)
+        work = _take(pool, (min(step, m), length), matrix.dtype)
+        for r0 in range(0, m, step):
+            rows = slice(r0, r0 + step)
+            chunk = work[: min(step, m - r0)]
+            np.abs(matrix[rows], out=chunk)
+            _top_p_rows(chunk, p, vals[rows], idx[rows])
+        _give(pool, work)
+        return vals, idx
+    matrix = np.ascontiguousarray(matrix)
+    found = _top_p_columns(matrix, p, absolute=False)
+    if found is None:
+        # NaN present: search a copy of |values| with NaN masked to -inf.
+        work = _take(pool, matrix.shape, matrix.dtype)
         np.abs(matrix, out=work)
-    else:
-        # One contiguous transpose copy keeps every search round on the
-        # fast row-major argmax loop (a strided column argmax is ~10x
-        # slower and ufuncs would otherwise propagate the F-order).
-        work = _take(pool, (matrix.shape[1], matrix.shape[0]))
-        np.copyto(work, matrix.T)
-        np.abs(work, out=work)
-    # NaNs are never selected (they lose every strict ``>`` comparison in
-    # the reference kernel), but np.argmax would propagate them — mask them
-    # out.  The probe is a single cheap reduction; work holds |values| >= 0,
-    # so its sum is NaN iff a NaN is present.
-    if np.isnan(np.sum(work)):
         work[np.isnan(work)] = -np.inf
-    k = work.shape[0]
+        found = _top_p_columns(work, p, absolute=True)
+        _give(pool, work)
+    return found
+
+
+def _chunk_rows(matrix: np.ndarray, multiple: int) -> int:
+    """Rows per cache-sized chunk of ``matrix``, a multiple of ``multiple``."""
+    row_bytes = max(1, matrix.shape[1] * matrix.itemsize)
+    return max(multiple, CHUNK_BYTES // row_bytes // multiple * multiple)
+
+
+def _top_p_rows(
+    work: np.ndarray, p: int, vals: np.ndarray, idx: np.ndarray
+) -> None:
+    """``p`` rounds of a first-occurrence row ``argmax`` over ``|values|``."""
+    k, length = work.shape
+    flat = work.reshape(-1)
+    starts = np.arange(k) * length
+    best = np.argmax(work, axis=1)
+    if np.isnan(flat[starts + best]).any():
+        # np.argmax picks NaN first; Algorithm 1's ``>`` never does.
+        work[np.isnan(work)] = -np.inf
+        best = np.argmax(work, axis=1)
+    for j in range(p):
+        if j:
+            best = np.argmax(work, axis=1)
+        idx[:, j] = best
+        vals[:, j] = flat[starts + best]
+        if j + 1 < p:
+            flat[starts + best] = -np.inf
+
+
+def _top_p_columns(
+    matrix: np.ndarray, p: int, *, absolute: bool
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Two-level search down the columns of a C-contiguous matrix.
+
+    ``absolute=False`` searches ``|matrix|`` without materialising it:
+    block maxima of ``|x|`` are ``max(max x, -min x)`` and only the blocks
+    a round searches are gathered and made absolute.  It returns ``None``
+    when a NaN makes those maxima unusable.  ``absolute=True`` searches a
+    matrix that already holds ``|x|`` (NaN masked to ``-inf``).
+    """
+    s = SEARCH_BLOCK
+    length, k = matrix.shape
+    full, blocks = length // s, -(-length // s)
+    block_max = np.empty((blocks, k), dtype=matrix.dtype)
+    reductions = (np.max,) if absolute else (np.max, np.min)
+    extremes = [np.empty((blocks, k), dtype=matrix.dtype) for _ in reductions]
+    step = _chunk_rows(matrix, s)
+    for r0 in range(0, length, step):
+        chunk = matrix[r0 : min(r0 + step, full * s)]
+        b0, nb = r0 // s, chunk.shape[0] // s
+        for reduce, out in zip(reductions, extremes):
+            if nb:
+                reduce(
+                    chunk.reshape(nb, s, k), axis=1, out=out[b0 : b0 + nb]
+                )
+            if full < blocks and r0 + step >= length:
+                reduce(matrix[full * s :], axis=0, out=out[full])
+    if absolute:
+        block_max = extremes[0]
+    else:
+        hi, lo = extremes
+        if np.isnan(hi).any() or np.isnan(lo).any():
+            return None
+        np.negative(lo, out=lo)
+        np.maximum(hi, lo, out=block_max)
+    # Column-major views keep every per-column search on a contiguous row.
+    block_max = np.ascontiguousarray(block_max.T)
+    bm_flat = block_max.reshape(-1)
     vals = np.empty((k, p))
     idx = np.empty((k, p), dtype=np.intp)
-    rows = np.arange(k)
+    flat = matrix.reshape(-1)
+    cols = np.arange(k)
+    # Flat offsets of column c's entries in a block, relative to the
+    # block's first row: one 1-D take gathers every column's block.
+    within = cols[:, None] + np.arange(s) * k
+    tail = length - full * s  # valid rows of a partial last block
+    taken: list[np.ndarray] = []
     for j in range(p):
-        best = np.argmax(work, axis=1)
-        idx[:, j] = best
-        vals[:, j] = work[rows, best]
+        blk = np.argmax(block_max, axis=1)
+        seg = np.take(flat, within + (blk * (s * k))[:, None], mode="clip")
+        if not absolute:
+            np.abs(seg, out=seg)
+        if tail:
+            # Rows past the end of the matrix (clipped reads) never win.
+            seg[blk == full, tail:] = -np.inf
+        seg_flat = seg.reshape(-1)
+        for prev in taken:
+            same = prev // s == blk
+            seg_flat[(cols * s + prev % s)[same]] = -np.inf
+        off = np.argmax(seg, axis=1)
+        at = cols * s + off
+        idx[:, j] = blk * s + off
+        vals[:, j] = seg_flat[at]
         if j + 1 < p:
-            work[rows, best] = -np.inf
-    _give(pool, work)
+            seg_flat[at] = -np.inf
+            bm_flat[cols * blocks + blk] = np.max(seg, axis=1)
+            taken.append(idx[:, j].copy())
     return vals, idx
 
 
-def _take(pool, shape: tuple[int, int]) -> np.ndarray:
+def _take(pool, shape: tuple[int, int], dtype) -> np.ndarray:
     if pool is None:
-        return np.empty(shape)
-    return pool.take(shape, np.float64)
+        return np.empty(shape, dtype=dtype)
+    return pool.take(shape, dtype)
 
 
 def _give(pool, buffer: np.ndarray) -> None:

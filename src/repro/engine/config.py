@@ -42,7 +42,8 @@ class AbftConfig:
         Partitioned-encoding block size ``BS`` (paper Section VI-B: 64).
     p:
         Number of tracked largest absolute values per vector (Section IV-E).
-        Only the ``"aabft"`` scheme consumes it.
+        Only the ``"aabft"`` scheme consumes it, clamped to the inner
+        length of each product (:meth:`top_p`).
     omega:
         Confidence scale of the probabilistic bound (paper default: 3).
     fma:
@@ -187,6 +188,14 @@ class AbftConfig:
             raise ValueError(
                 f"fused_tile_blocks must be >= 1, got {self.fused_tile_blocks}"
             )
+
+    def top_p(self, inner_dim: int) -> int:
+        """The ``p`` a product of inner length ``inner_dim`` searches.
+
+        A vector of length ``k`` has only ``k`` values to rank, so the
+        search tracks ``min(p, k)`` of them (a rank-1 product tracks one).
+        """
+        return min(self.p, inner_dim)
 
     def replace(self, **changes) -> "AbftConfig":
         """A copy with the given fields replaced (validation re-runs)."""

@@ -4,9 +4,13 @@
 single :func:`~repro.abft.multiply.aabft_matmul` call would rebuild from
 scratch:
 
-* **execution plans** — per-``(shape, dtype, config)`` layouts, padding
+* **execution plans** — per-``(shape, dtype, config)`` layouts, scratch
   workspaces and bound-scheme objects, LRU-cached (see
   :mod:`repro.engine.plan`);
+* **side products** — every route multiplies the raw operands once
+  (``C = A @ B``, the result itself) and checks ``C``'s block sums against
+  three thin checksum GEMMs (:mod:`repro.kernels.sideproduct`); operands
+  are never padded, interleaved or stripped;
 * **operand encodings** — :meth:`MatmulEngine.encode` returns a reusable
   :class:`EncodedOperand` handle, so one encoding of ``A`` serves many
   ``A @ B_i`` products (the iterative-solver pattern);
@@ -39,16 +43,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..abft.checking import (
-    CheckReport,
-    build_report,
-    check_partitioned,
-    column_discrepancies,
-    row_discrepancies,
-)
-from ..abft.encoding import PartitionedLayout, strip_encoding
-from ..kernels.encode_fused import fused_encode
+from ..abft.checking import CheckReport, build_report, check_partitioned
+from ..abft.encoding import PartitionedLayout
+from ..kernels.encode_fused import fused_encode, interleave_operand
 from ..kernels.online_fused import OnlineFusedOutcome, online_fused_matmul
+from ..kernels.sideproduct import (
+    SideProducts,
+    assemble_full_checksum,
+    scatter_full_checksum,
+    side_discrepancies,
+    side_products,
+)
 from ..abft.providers import (
     AABFTEpsilonProvider,
     AdaptiveEpsilonProvider,
@@ -72,7 +77,7 @@ from .plan import ExecutionPlan, PlanCache
 from .policy import ExecutionPolicy
 from .stats import EngineStats, StageCost, StageCosts
 
-__all__ = ["EncodedOperand", "MatmulEngine", "default_engine"]
+__all__ = ["EncodedOperand", "MatmulEngine", "default_engine", "encode_operand"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,14 +94,15 @@ class EncodedOperand:
     side:
         ``"a"`` (left operand, column checksums) or ``"b"`` (right operand,
         row checksums).
-    array:
-        The encoded matrix (``A_cc`` or ``B_rc``).
+    data:
+        The raw, unpadded operand in the computation dtype.
+    checksums:
+        Its thin block-checksum matrix: ``EA`` (``nb x k``, the column
+        sums of every ``BS``-row block) for side ``"a"``, ``EB``
+        (``k x nb``, the row sums of every ``BS``-column block) for
+        side ``"b"``.
     layout:
-        Partitioned layout of the encoded axis.
-    shape:
-        The original (unpadded) operand shape.
-    padding:
-        Rows (side ``"a"``) or columns (side ``"b"``) of zero padding.
+        Partitioned layout of the encoded axis (padded to whole blocks).
     config:
         The config the operand was encoded under (block size, scheme, p).
     top_values / top_indices:
@@ -106,24 +112,50 @@ class EncodedOperand:
     """
 
     side: str
-    array: np.ndarray
+    data: np.ndarray
+    checksums: np.ndarray
     layout: PartitionedLayout
-    shape: tuple[int, int]
-    padding: int
     config: AbftConfig
     top_values: np.ndarray | None = None
     top_indices: np.ndarray | None = None
     norms: np.ndarray | None = None
     _tops_cache: list = field(default_factory=list, repr=False, compare=False)
+    _array_cache: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def dtype(self) -> np.dtype:
-        return self.array.dtype
+        return self.data.dtype
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The operand's shape."""
+        return self.data.shape
+
+    @property
+    def padding(self) -> int:
+        """Rows (side ``"a"``) or columns (side ``"b"``) the layout pads."""
+        axis = 0 if self.side == "a" else 1
+        return self.layout.data_rows - self.data.shape[axis]
 
     @property
     def inner_dim(self) -> int:
         """Length of the non-encoded (inner) axis."""
-        return self.array.shape[1] if self.side == "a" else self.array.shape[0]
+        return self.data.shape[1] if self.side == "a" else self.data.shape[0]
+
+    @property
+    def array(self) -> np.ndarray:
+        """The interleaved encoded matrix (``A_cc`` or ``B_rc``).
+
+        Assembled on first access (a copy of the operand); the engine's
+        multiply never needs it.
+        """
+        if not self._array_cache:
+            self._array_cache.append(
+                interleave_operand(
+                    self.data, self.checksums, self.side, self.layout
+                )
+            )
+        return self._array_cache[0]
 
     def tops(self) -> list[TopP]:
         """The top-p data as per-vector :class:`TopP` objects (cached)."""
@@ -138,6 +170,38 @@ class EncodedOperand:
                 for v, i in zip(self.top_values, self.top_indices)
             )
         return list(self._tops_cache)
+
+
+def encode_operand(
+    data: np.ndarray,
+    side: str,
+    config: AbftConfig,
+    *,
+    checksums: np.ndarray | None = None,
+    pool=None,
+) -> EncodedOperand:
+    """Encode one operand: block checksums (unless given) and the scheme's
+    top-p or norm data."""
+    inner = data.shape[1] if side == "a" else data.shape[0]
+    enc = fused_encode(
+        data,
+        side,
+        config.block_size,
+        p=config.top_p(inner) if config.scheme == "aabft" else None,
+        norms=config.scheme in ("sea", "adaptive"),
+        pool=pool,
+        checksums=checksums,
+    )
+    return EncodedOperand(
+        side=side,
+        data=enc.data,
+        checksums=enc.checksums,
+        layout=enc.layout,
+        config=config,
+        top_values=enc.top_values,
+        top_indices=enc.top_indices,
+        norms=enc.norms,
+    )
 
 
 def _as_matrix(operand) -> np.ndarray:
@@ -425,16 +489,30 @@ class MatmulEngine:
             Forces the computation dtype.  By default a float32 operand is
             encoded in float32; pass ``np.float64`` when it will be paired
             with float64 operands (the mixed-precision promotion rule).
+
+        The handle holds a read-only copy of the operand, so later changes
+        to ``operand`` never reach products computed from the handle.
         """
         cfg = self._resolve_config(config)
+        return self._encode(operand, side, cfg, dtype, snapshot=True)
+
+    def _encode(
+        self, operand, side: str, cfg: AbftConfig, dtype, *, snapshot: bool
+    ) -> EncodedOperand:
+        """Encode for reuse; ``snapshot=False`` lets the handle share the
+        caller's memory (only for handles that never outlive the call)."""
         if side not in ("a", "b"):
             raise ConfigurationError(f"side must be 'a' or 'b', got {side!r}")
         arr = _as_matrix(operand)
         if dtype is None:
             _storage, dtype = _resolve_storage_compute(cfg, arr.dtype)
-        arr = arr.astype(np.dtype(dtype), copy=False)
+        if snapshot:
+            arr = np.array(arr, dtype=np.dtype(dtype), copy=True)
+            arr.flags.writeable = False
+        else:
+            arr = arr.astype(np.dtype(dtype), copy=False)
         t0 = time.perf_counter()
-        encoded = self._encode_array(arr, side, cfg)
+        encoded = encode_operand(arr, side, cfg)
         self._add_seconds("encode", time.perf_counter() - t0)
         return encoded
 
@@ -611,16 +689,20 @@ class MatmulEngine:
           numpy fallback exactly like a real backend failure (the numpy
           retry does not re-fire the hook).
         * ``event == "result"`` (``backend=<name>``, ``c_fc=<array>``) —
-          fired with the full-checksum GEMM result; mutating ``c_fc`` in
-          place emulates a kernel-level fault that the check stage must
-          catch.  (On the fused online path the in-loop per-tile checks
+          fired once per product with the full-checksum matrix assembled
+          from the side products; the engine copies the hook's in-place
+          changes back into ``C``, ``R``, ``K`` and ``X`` before the
+          check, so mutating ``c_fc`` emulates a kernel-level fault that
+          the check stage must catch (changes to padding positions are
+          dropped: they are no product's bytes).  (On the fused online path the in-loop per-tile checks
           have already run by then, so whenever a chaos hook is
           installed the fused path re-derives the full discrepancy
           grids after this hook fires — bitwise identical in clean
           runs — keeping ``result``-site injections detectable.)
         * ``event == "tile_result"`` (``tile_index=<int>``,
           ``attempt=<int>``, ``c_tile=<array view>``) — fired by the
-          fused online path after each tile's GEMM (and after each
+          fused online path with the view of the tile of ``C`` after the
+          tile's GEMMs (and after each
           tile recompute, with ``attempt`` incremented); mutating
           ``c_tile`` in place emulates a fault inside the tile loop that
           the *in-loop* check must catch — the early-abort /
@@ -784,11 +866,9 @@ class MatmulEngine:
                 }
                 if len(pair_dtypes) != 1:
                     continue
-                handle = self.encode(
-                    items[indices[0]],
-                    side=side,
-                    config=cfg,
-                    dtype=next(iter(pair_dtypes)),
+                handle = self._encode(
+                    items[indices[0]], side, cfg, next(iter(pair_dtypes)),
+                    snapshot=False,
                 )
                 for i in indices:
                     items[i] = handle
@@ -801,45 +881,6 @@ class MatmulEngine:
                 )
             )
         return [self._run(x, y, cfg) for x, y in pairs]
-
-    def _encode_array(
-        self, arr: np.ndarray, side: str, cfg: AbftConfig
-    ) -> EncodedOperand:
-        """Encode a dtype-resolved matrix (checksums + scheme preprocessing).
-
-        This is the *unpooled* path behind the public :meth:`encode`: the
-        returned handle escapes to user code, so its encoded buffer must
-        never come from (or return to) a workspace pool.
-        """
-        bs = cfg.block_size
-        if side == "a":
-            padding = (-arr.shape[0]) % bs
-            if padding:
-                arr = np.pad(arr, ((0, padding), (0, 0)), mode="constant")
-            shape = (arr.shape[0] - padding, arr.shape[1])
-        else:
-            padding = (-arr.shape[1]) % bs
-            if padding:
-                arr = np.pad(arr, ((0, 0), (0, padding)), mode="constant")
-            shape = (arr.shape[0], arr.shape[1] - padding)
-        fused = fused_encode(
-            arr,
-            side,
-            bs,
-            p=cfg.p if cfg.scheme == "aabft" else None,
-            norms=cfg.scheme in ("sea", "adaptive"),
-        )
-        return EncodedOperand(
-            side=side,
-            array=fused.encoded,
-            layout=fused.layout,
-            shape=shape,
-            padding=padding,
-            config=cfg,
-            top_values=fused.top_values,
-            top_indices=fused.top_indices,
-            norms=fused.norms,
-        )
 
     def _check_handle(
         self, handle: EncodedOperand, side: str, cfg: AbftConfig, dtype: np.dtype
@@ -878,8 +919,8 @@ class MatmulEngine:
             cfg, _operand_dtype(a_raw), _operand_dtype(b_raw)
         )
         quantize = storage_dtype != dtype
-        a_shape = a_raw.shape if isinstance(a_raw, EncodedOperand) else a_raw.shape
-        b_shape = b_raw.shape if isinstance(b_raw, EncodedOperand) else b_raw.shape
+        a_shape = a_raw.shape
+        b_shape = b_raw.shape
         if a_shape[1] != b_shape[0]:
             raise ShapeError(
                 f"inner dimensions disagree: A is {a_shape}, B is {b_shape}"
@@ -903,32 +944,15 @@ class MatmulEngine:
 
         # --- encode (or reuse) ------------------------------------------
         t0 = time.perf_counter()
-        fresh_a = fresh_b = None
-        if isinstance(a_raw, EncodedOperand):
-            self._check_handle(a_raw, "a", cfg, dtype)
-            enc_a = a_raw
-            self._m_reuses.inc()
-        else:
-            enc_a = fresh_a = self._encode_with_plan(
-                a_raw.astype(dtype, copy=False), "a", cfg, plan
-            )
-        if isinstance(b_raw, EncodedOperand):
-            self._check_handle(b_raw, "b", cfg, dtype)
-            enc_b = b_raw
-            self._m_reuses.inc()
-        else:
-            enc_b = fresh_b = self._encode_with_plan(
-                b_raw.astype(dtype, copy=False), "b", cfg, plan
-            )
+        enc_a = self._operand_handle(a_raw, "a", cfg, plan, dtype)
+        enc_b = self._operand_handle(b_raw, "b", cfg, plan, dtype)
         self._add_seconds("encode", time.perf_counter() - t0)
+        provider = self._make_provider(cfg, plan, enc_a, enc_b)
 
         # --- fused online multiply+check (one pass over the tiles) -------
         fused_ran = False
-        provider = report = c_fc = None
-        used_backend = dispatch_fallback = None
         if cfg.fusion == "fused":
             t0 = time.perf_counter()
-            provider = self._make_provider(cfg, plan, enc_a, enc_b)
             grids = self._provider_grids(provider, plan)
             grid_seconds = time.perf_counter() - t0  # check-stage work
             if grids is None:
@@ -939,81 +963,42 @@ class MatmulEngine:
                     "run)"
                 )
             else:
-                col_eps, row_eps = grids
-                t0 = time.perf_counter()
-                outcome, used_backend, dispatch_fallback = (
-                    self._fused_online_gemm(
-                        plan, cfg, enc_a.array, enc_b.array, col_eps, row_eps
-                    )
+                sp, report, used_backend, dispatch_fallback, check_s = (
+                    self._fused_pair(plan, cfg, enc_a, enc_b, grids)
                 )
-                # The kernel self-times its in-loop checks; what is left
-                # of the wall time is the multiply.
-                self._add_seconds(
-                    "multiply",
-                    max(0.0, time.perf_counter() - t0 - outcome.check_seconds),
-                )
-                if fresh_a is not None:
-                    plan.pool.give(fresh_a.array)
-                    fresh_a = None
-                if fresh_b is not None:
-                    plan.pool.give(fresh_b.array)
-                    fresh_b = None
-                t0 = time.perf_counter()
-                report = self._fused_report(outcome, col_eps, row_eps, plan)
-                plan.pool.give(col_eps)
-                plan.pool.give(row_eps)
-                self._add_seconds(
-                    "check",
-                    grid_seconds
-                    + outcome.check_seconds
-                    + (time.perf_counter() - t0),
-                )
-                c_fc = outcome.out
+                self._add_seconds("check", grid_seconds + check_s)
                 fused_ran = True
 
         if not fused_ran:
             # --- multiply (dispatched through the plan's backend) --------
             t0 = time.perf_counter()
-            c_fc, used_backend, dispatch_fallback = self._dispatch_gemm(
-                plan, enc_a.array, enc_b.array
+            sp, used_backend, dispatch_fallback = self._products(
+                plan, enc_a, enc_b
             )
+            self._result_hook(used_backend, sp, plan)
             if quantize:
-                # Simulate low-precision result storage: the data region
-                # round-trips through the storage dtype (checksum rows and
-                # columns stay in the compute dtype — they accumulate in
-                # float32, per the mixed-precision discipline), so the
-                # check below sees genuine storage quantisation noise.
-                _quantize_data_region(c_fc, plan, storage_dtype)
+                # Simulate low-precision result storage: C round-trips
+                # through the storage dtype (the checksum products stay in
+                # the compute dtype — they accumulate in float32, per the
+                # mixed-precision discipline), so the check below sees
+                # genuine storage quantisation noise.
+                sp.c[...] = sp.c.astype(storage_dtype)
             self._add_seconds("multiply", time.perf_counter() - t0)
-            # Internally encoded buffers are fully consumed by the multiply
-            # and never referenced by the result (the provider keeps only
-            # top-p / norm arrays), so they recycle.  User-supplied handles
-            # are not touched.
-            if fresh_a is not None:
-                plan.pool.give(fresh_a.array)
-            if fresh_b is not None:
-                plan.pool.give(fresh_b.array)
 
             # --- check ---------------------------------------------------
             t0 = time.perf_counter()
-            if provider is None:
-                provider = self._make_provider(cfg, plan, enc_a, enc_b)
-            report = self._check(c_fc, plan, provider)
+            report = self._check(sp, plan, provider)
             self._add_seconds("check", time.perf_counter() - t0)
 
-        c = strip_encoding(
-            c_fc, plan.row_layout, plan.col_layout, enc_a.padding, enc_b.padding
-        )
-        if quantize:
-            # Lossless: the data region already round-tripped through the
-            # storage dtype, so this cast only changes the container.
-            c = c.astype(storage_dtype)
+        # Lossless when quantised: C already round-tripped through the
+        # storage dtype, so this cast only changes the container.
+        c = sp.c.astype(storage_dtype) if quantize else sp.c
         self._m_calls.inc()
         if report.error_detected:
             self._m_detections.inc()
         return AbftResult(
             c=c,
-            c_fc=c_fc,
+            c_fc=None,
             report=report,
             row_layout=plan.row_layout,
             col_layout=plan.col_layout,
@@ -1022,6 +1007,19 @@ class MatmulEngine:
             backend_fallback=selection_fallback or dispatch_fallback,
             fused=fused_ran,
             fused_fallback=fused_fallback,
+            products=sp,
+        )
+
+    def _operand_handle(
+        self, operand, side: str, cfg: AbftConfig, plan: ExecutionPlan, dtype
+    ) -> EncodedOperand:
+        """A validated handle for one operand: reused, or freshly encoded."""
+        if isinstance(operand, EncodedOperand):
+            self._check_handle(operand, side, cfg, dtype)
+            self._m_reuses.inc()
+            return operand
+        return encode_operand(
+            operand.astype(dtype, copy=False), side, cfg, pool=plan.pool
         )
 
     def _negotiate(
@@ -1078,19 +1076,44 @@ class MatmulEngine:
             )
         return cfg, fallback_text, fused_fallback_text
 
-    def _dispatch_gemm(
-        self, plan: ExecutionPlan, a_arr: np.ndarray, b_arr: np.ndarray
-    ) -> tuple[np.ndarray, str, str | None]:
-        """Execute the GEMM stage on the plan's backend.
+    def _products(
+        self,
+        plan: ExecutionPlan,
+        enc_a: EncodedOperand,
+        enc_b: EncodedOperand,
+    ) -> tuple[SideProducts, str, str | None]:
+        """The side products ``C``, ``R``, ``K``, ``X`` on the plan's backend.
 
-        Returns ``(c_fc, backend_used, fallback_text)``.  A dispatch-time
-        backend failure (import error, OOM, failed self-check) retries on
-        ``numpy`` with the *same* tile geometry — result bytes stay the
-        plan's canonical bytes — and is recorded, never swallowed.
+        Returns ``(products, backend_used, fallback_text)``; see
+        :meth:`_dispatch`.
+        """
+        return self._dispatch(
+            plan,
+            lambda gemm: side_products(
+                enc_a.data, enc_a.checksums, enc_b.data, enc_b.checksums, gemm
+            ),
+        )
+
+    def _dispatch(self, plan: ExecutionPlan, compute):
+        """Run ``compute(gemm)`` with ``gemm`` the plan backend's GEMM.
+
+        Every GEMM runs over the backend's canonical tile list.  Returns
+        ``(compute's result, backend_used, fallback_text)``.  A
+        dispatch-time backend failure (import error, OOM, failed
+        self-check) recomputes on ``numpy`` with the *same* tile geometry
+        — result bytes stay the plan's canonical bytes — and is recorded,
+        never swallowed.
         """
         name = plan.backend_name
         self._m_backend_dispatch.labels(backend=name).inc()
         hook = self._chaos_hook
+
+        def run(backend_name: str):
+            backend = self._backends.get(backend_name)
+            return compute(
+                lambda x, y: backend.matmul(x, y, tile=plan.tile, pool=plan.pool)
+            )
+
         try:
             if hook is not None:
                 # Chaos seam: a raising hook emulates a backend failure
@@ -1098,62 +1121,32 @@ class MatmulEngine:
                 hook("dispatch", backend=name)
             # Resolve through the engine's registry (plan.backend() uses
             # the process-wide one) so custom registries dispatch too.
-            c_fc = self._backends.get(name).matmul(
-                a_arr, b_arr, tile=plan.tile, pool=plan.pool
-            )
+            return run(name), name, None
         except Exception as exc:
             if name == "numpy":
                 raise
             self._m_backend_fallbacks.labels(
                 backend=name, reason="dispatch"
             ).inc()
-            c_fc = self._backends.get("numpy").matmul(
-                a_arr, b_arr, tile=plan.tile, pool=plan.pool
-            )
-            if hook is not None:
-                hook("result", backend="numpy", c_fc=c_fc)
-            return c_fc, "numpy", (
+            return run("numpy"), "numpy", (
                 f"dispatch on {name!r} failed "
                 f"({type(exc).__name__}: {exc}); recomputed on 'numpy'"
             )
-        if hook is not None:
-            hook("result", backend=name, c_fc=c_fc)
-        return c_fc, name, None
 
-    def _encode_with_plan(
-        self, arr: np.ndarray, side: str, cfg: AbftConfig, plan: ExecutionPlan
-    ) -> EncodedOperand:
-        """Like :meth:`_encode_array` but allocation-free when warm: padding,
-        the encoded buffer and the top-p search workspace all cycle through
-        the plan's pool.  The returned handle is engine-internal — the
-        caller gives ``handle.array`` back to ``plan.pool`` once the
-        multiply has consumed it (it must never escape into results)."""
-        if side == "a":
-            padded, workspace = plan.pad_a(arr)
-            padding, shape = plan.rows_added, (plan.m, plan.n)
-        else:
-            padded, workspace = plan.pad_b(arr)
-            padding, shape = plan.cols_added, (plan.n, plan.q)
-        fused = fused_encode(
-            padded,
-            side,
-            cfg.block_size,
-            p=cfg.p if cfg.scheme == "aabft" else None,
-            norms=cfg.scheme in ("sea", "adaptive"),
-            pool=plan.pool,
-        )
-        plan.release(workspace, side)
-        return EncodedOperand(
-            side=side,
-            array=fused.encoded,
-            layout=fused.layout,
-            shape=shape,
-            padding=padding,
-            config=cfg,
-            top_values=fused.top_values,
-            top_indices=fused.top_indices,
-            norms=fused.norms,
-        )
+    def _result_hook(
+        self, backend: str, sp: SideProducts, plan: ExecutionPlan
+    ) -> None:
+        """Fire the ``result`` chaos event on the assembled ``C_fc``.
+
+        The hook's in-place changes are copied back into ``C``, ``R``,
+        ``K`` and ``X`` before the check reads them.
+        """
+        hook = self._chaos_hook
+        if hook is None:
+            return
+        c_fc = assemble_full_checksum(sp, plan.row_layout, plan.col_layout)
+        hook("result", backend=backend, c_fc=c_fc)
+        scatter_full_checksum(c_fc, sp, plan.row_layout, plan.col_layout)
 
     def _make_provider(
         self,
@@ -1194,43 +1187,24 @@ class MatmulEngine:
         return ConstantEpsilonProvider(float(cfg.fixed_epsilon))
 
     def _check(
-        self, c_fc: np.ndarray, plan: ExecutionPlan, provider
+        self, sp: SideProducts, plan: ExecutionPlan, provider
     ) -> CheckReport:
         """Vectorised full check; falls back to the scalar path when the
         provider has no array form."""
-        grids = None
-        epsilon_grids = getattr(provider, "epsilon_grids", None)
-        if epsilon_grids is not None:
-            try:
-                grids = epsilon_grids(
-                    plan.row_layout, plan.col_layout, pool=plan.pool
-                )
-            except TypeError:
-                # Third-party providers predating the pool keyword.
-                grids = epsilon_grids(plan.row_layout, plan.col_layout)
+        grids = self._provider_grids(provider, plan)
         if grids is None:
             return check_partitioned(
-                c_fc, plan.row_layout, plan.col_layout, provider
+                assemble_full_checksum(sp, plan.row_layout, plan.col_layout),
+                plan.row_layout, plan.col_layout, provider,
             )
         col_eps, row_eps = grids
-        col_disc = column_discrepancies(c_fc, plan.row_layout)
-        row_disc = row_discrepancies(c_fc, plan.col_layout)
-        clean = (
-            bool(np.all(col_disc <= col_eps))
-            and bool(np.all(row_disc <= row_eps))
-            and bool(np.all(np.isfinite(col_disc)))
-            and bool(np.all(np.isfinite(row_disc)))
+        col_disc, row_disc = side_discrepancies(
+            sp, plan.row_layout, plan.col_layout
         )
-        if not clean:
-            # Rare path: delegate to the reference report builder so finding
-            # order, located-error intersection etc. match exactly.
-            report = build_report(
-                col_disc, col_eps, row_disc, row_eps,
-                plan.row_layout, plan.col_layout,
-            )
-        else:
-            report = CheckReport(column_disc=col_disc, row_disc=row_disc)
-            report.num_checks = col_disc.size + row_disc.size
+        report = build_report(
+            col_disc, col_eps, row_disc, row_eps,
+            plan.row_layout, plan.col_layout,
+        )
         # Reports keep only the discrepancy arrays (and scalar epsilons on
         # findings), so the dense tolerance grids recycle.
         plan.pool.give(col_eps)
@@ -1240,10 +1214,8 @@ class MatmulEngine:
     def _provider_grids(self, provider, plan: ExecutionPlan):
         """The provider's dense tolerance grids, or ``None`` without them.
 
-        Factored out of :meth:`_check` because the fused online path needs
-        the grids *before* the multiply runs (the per-tile checks consume
-        them in-loop).  Same contract: ``pool=`` is offered first, with a
-        TypeError fallback for third-party providers predating it.
+        ``pool=`` is offered first, with a TypeError fallback for
+        third-party providers predating it.
         """
         epsilon_grids = getattr(provider, "epsilon_grids", None)
         if epsilon_grids is None:
@@ -1255,19 +1227,43 @@ class MatmulEngine:
         except TypeError:
             return epsilon_grids(plan.row_layout, plan.col_layout)
 
-    def _fused_online_gemm(
+    def _fused_pair(self, plan, cfg, enc_a, enc_b, grids):
+        """One pair through the fused online tile loop.
+
+        Returns ``(products, report, backend, fallback, check_seconds)``
+        and charges the multiply stage; the caller charges the check
+        seconds (the kernel self-times its in-loop checks).  The grids go
+        back to the pool.
+        """
+        col_eps, row_eps = grids
+        t0 = time.perf_counter()
+        outcome, used, fallback = self._fused_online(
+            plan, cfg, enc_a, enc_b, col_eps, row_eps
+        )
+        self._add_seconds(
+            "multiply",
+            max(0.0, time.perf_counter() - t0 - outcome.check_seconds),
+        )
+        t0 = time.perf_counter()
+        report = self._fused_report(outcome, col_eps, row_eps, plan)
+        plan.pool.give(col_eps)
+        plan.pool.give(row_eps)
+        check_s = outcome.check_seconds + (time.perf_counter() - t0)
+        return outcome.products, report, used, fallback, check_s
+
+    def _fused_online(
         self,
         plan: ExecutionPlan,
         cfg: AbftConfig,
-        a_arr: np.ndarray,
-        b_arr: np.ndarray,
+        enc_a: EncodedOperand,
+        enc_b: EncodedOperand,
         col_eps: np.ndarray,
         row_eps: np.ndarray,
     ) -> tuple[OnlineFusedOutcome, str, str | None]:
         """Run the fused online multiply+check on the plan's backend.
 
         Returns ``(outcome, backend_used, fallback_text)``.  Mirrors
-        :meth:`_dispatch_gemm`'s never-silent contract: a dispatch-time
+        :meth:`_products`' never-silent contract: a dispatch-time
         failure retries the whole fused call on ``numpy`` with the same
         tile geometry, counted in ``abft_backend_fallbacks_total``.
         """
@@ -1288,8 +1284,10 @@ class MatmulEngine:
             backend = self._backends.get(backend_name)
             executor = getattr(backend, "tile_executor", lambda: None)()
             return online_fused_matmul(
-                a_arr,
-                b_arr,
+                enc_a.data,
+                enc_a.checksums,
+                enc_b.data,
+                enc_b.checksums,
                 row_layout=plan.row_layout,
                 col_layout=plan.col_layout,
                 col_eps=col_eps,
@@ -1326,8 +1324,7 @@ class MatmulEngine:
             self._m_fused_recomputes.inc(len(outcome.recomputed_tiles))
         if outcome.early_abort:
             self._m_fused_aborts.inc()
-        if hook is not None:
-            hook("result", backend=name, c_fc=outcome.out)
+        self._result_hook(name, outcome.products, plan)
         return outcome, name, fallback_text
 
     def _fused_report(
@@ -1339,52 +1336,24 @@ class MatmulEngine:
     ) -> CheckReport:
         """Build the canonical check report from a fused online outcome.
 
-        The clean fast path reuses the kernel's per-tile discrepancy
-        accumulators directly — they are bitwise equal to
-        :func:`~repro.abft.checking.column_discrepancies` /
-        :func:`~repro.abft.checking.row_discrepancies` of the full result.
-        After an early abort (tiles past the failure were never checked)
-        or whenever a chaos hook is installed (the ``result`` hook may
-        have mutated ``c_fc`` after the in-loop checks ran), the full
-        grids are recomputed from the final bytes so the report stays the
-        separate path's canonical oracle.
+        The clean path reuses the kernel's per-tile discrepancy
+        accumulators directly.  After an early abort (tiles past the
+        failure were never checked) or whenever a chaos hook is installed
+        (the ``result`` hook may have changed the products after the
+        in-loop checks ran), the full grids are recomputed from the final
+        bytes so the report stays the separate path's canonical oracle.
         """
         if outcome.early_abort or self._chaos_hook is not None:
-            col_disc = column_discrepancies(outcome.out, plan.row_layout)
-            row_disc = row_discrepancies(outcome.out, plan.col_layout)
+            col_disc, row_disc = side_discrepancies(
+                outcome.products, plan.row_layout, plan.col_layout
+            )
         else:
             col_disc = outcome.col_disc
             row_disc = outcome.row_disc
-        clean = (
-            bool(np.all(col_disc <= col_eps))
-            and bool(np.all(row_disc <= row_eps))
-            and bool(np.all(np.isfinite(col_disc)))
-            and bool(np.all(np.isfinite(row_disc)))
+        return build_report(
+            col_disc, col_eps, row_disc, row_eps,
+            plan.row_layout, plan.col_layout,
         )
-        if not clean:
-            return build_report(
-                col_disc, col_eps, row_disc, row_eps,
-                plan.row_layout, plan.col_layout,
-            )
-        report = CheckReport(column_disc=col_disc, row_disc=row_disc)
-        report.num_checks = col_disc.size + row_disc.size
-        return report
-
-
-def _quantize_data_region(
-    c_fc: np.ndarray, plan: ExecutionPlan, storage_dtype: np.dtype
-) -> None:
-    """Round-trip the result's data region through the storage dtype.
-
-    Only elements at (data row, data column) positions quantise — they are
-    what low-precision hardware would write back; checksum rows/columns
-    are the float32-accumulated ABFT side values and keep full compute
-    precision.  Mutates ``c_fc`` in place.
-    """
-    rows = plan.row_layout.all_data_indices()
-    cols = plan.col_layout.all_data_indices()
-    region = c_fc[np.ix_(rows, cols)]
-    c_fc[np.ix_(rows, cols)] = region.astype(storage_dtype).astype(c_fc.dtype)
 
 
 def _operand_dtype(operand) -> np.dtype:

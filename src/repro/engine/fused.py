@@ -1,14 +1,17 @@
 """Fused batched execution of same-shape protected multiplications.
 
 ``execute_batch(..., policy=ExecutionPolicy(mode="fused"))`` executes a
-batch of
-``(a_i, b_i)`` products whose shapes, dtypes and config all agree as *one*
-fused pipeline instead of ``k`` independent calls:
+batch of ``(a_i, b_i)`` products whose shapes, dtypes and config all agree
+as *one* fused pipeline instead of ``k`` independent calls:
 
 * **operand dedup** — operands appearing in several pairs (the serving
   pattern: one weight matrix against many activations) are encoded once
-  and reused everywhere, where per-request execution re-encodes them
-  every time;
+  and reused everywhere; distinct raw right operands are checksummed and
+  searched in one pass over their side-by-side stack;
+* **one product per shared left operand** — the pairs sharing a left
+  operand become *one* side-product call (:mod:`repro.kernels.sideproduct`)
+  over their right operands stacked side by side, and one discrepancy pass
+  over the stacked products, sliced per pair;
 * **batched tolerance grids** — upper-bound grids and epsilon arrays for
   all pairs sharing a left operand are evaluated through single
   :func:`~repro.bounds.upper_bound.upper_bound_grid_arrays` /
@@ -18,44 +21,44 @@ fused pipeline instead of ``k`` independent calls:
 
 Results — data, full-checksum matrices, reports, tolerances — are
 **bitwise identical** to sequential :meth:`~repro.engine.MatmulEngine.
-matmul` calls (asserted by ``tests/serve/test_batch.py``): encoding and
-discrepancy extraction reuse the exact single-call code paths
-(:meth:`~repro.engine.MatmulEngine._encode_with_plan`,
-:func:`~repro.abft.checking.column_discrepancies` /
-:func:`~repro.abft.checking.row_discrepancies`), and the batched grid
-evaluation is elementwise in the concatenated data, so slicing the
-batched grid reproduces the per-pair grid bit for bit.  (Stacking
-operands into 3-D arrays to batch the encode reductions themselves was
-measured slower — the working set falls out of cache — so encoding stays
-per-matrix.)
+matmul` calls (asserted by ``tests/serve/test_batch.py``).  Checksums,
+top-p data, discrepancies and tolerance grids are per-column or per-block
+computations, so slices of the stacked results are the per-pair results.
+A stacked GEMM is *not* guaranteed to slice into the per-pair GEMM bytes
+(BLAS kernel selection depends on operand shapes), so the first stacked
+call of every ``(plan, width)`` signature is dual-computed along the
+stacked and the per-pair path and every product and discrepancy compared
+(:func:`group_products`).  Only a byte-identical probe enables the
+stacked call for that signature; a mismatch pins it to per-pair products,
+counted in ``abft_pipeline_fallbacks_total{reason="bitwise_probe"}``.
 
 Batches that do not meet the fast-path preconditions (non-``aabft``
 scheme, heterogeneous shapes or dtypes) fall back to the serial
 thread-fanned path of :meth:`~repro.engine.MatmulEngine.execute_batch`.
-
-On a single-core host this is where a serving layer's micro-batching
-speedup comes from: the per-call Python overhead is amortised over the
-batch while the BLAS work stays identical.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..abft.checking import (
-    CheckReport,
-    build_report,
-    column_discrepancies,
-    row_discrepancies,
-)
-from ..abft.encoding import strip_encoding
+from ..abft.checking import build_report
 from ..abft.providers import AABFTEpsilonProvider
 from ..abft.result import AbftResult
 from ..bounds.upper_bound import upper_bound_grid_arrays
+from ..kernels.encode_fused import fused_encode
+from ..kernels.sideproduct import SideProducts, side_discrepancies
 
-__all__ = ["fused_supported", "run_fused"]
+__all__ = [
+    "GroupProducts",
+    "encode_stack",
+    "fused_supported",
+    "group_products",
+    "group_reports",
+    "run_fused",
+]
 
 
 def fused_supported(a_items, b_items, cfg) -> bool:
@@ -83,15 +86,230 @@ def fused_supported(a_items, b_items, cfg) -> bool:
     b_shape = next(iter(b_shapes))
     if a_shape is None or b_shape is None or a_shape[1] != b_shape[0]:
         return False
-    # Batched top-p has the same validity window as the per-call path.
-    if not 1 <= cfg.p <= a_shape[1]:
-        return False
     # The computation dtype must resolve identically for every pair.
     dtypes = [_operand_dtype(x) for x in a_items + b_items]
     resolved = _resolve_dtype(*dtypes)
     return all(
         _resolve_dtype(_operand_dtype(a), _operand_dtype(b)) == resolved
         for a, b in zip(a_items, b_items)
+    )
+
+
+def encode_stack(plan, cfg, arrays) -> tuple[np.ndarray, list]:
+    """Encode raw right operands of one shape in one pass over their stack.
+
+    Returns ``(stacked, handles)``: the operands side by side (what a
+    stacked ``C`` GEMM reads) and one handle per operand whose checksums
+    and top-p data are the stack's slices.  A handle's data is
+    the operand itself and its checksums a contiguous copy, so a per-pair
+    product multiplies the very bytes, in the very memory layout, that a
+    single call would (BLAS may round a strided operand differently).
+    """
+    from .engine import EncodedOperand
+
+    count = len(arrays)
+    stack = fused_encode(
+        np.hstack(arrays) if count > 1 else arrays[0],
+        "b",
+        cfg.block_size,
+        p=cfg.top_p(arrays[0].shape[0]),
+        pool=plan.pool,
+        items=count,
+    )
+    nb = stack.layout.num_blocks
+    w = stack.layout.encoded_rows
+    handles = [
+        EncodedOperand(
+            side="b",
+            data=arr,
+            checksums=np.ascontiguousarray(
+                stack.checksums[:, j * nb : (j + 1) * nb]
+            ),
+            layout=stack.layout,
+            config=cfg,
+            top_values=stack.top_values[j * w : (j + 1) * w],
+            top_indices=stack.top_indices[j * w : (j + 1) * w],
+        )
+        for j, arr in enumerate(arrays)
+    ]
+    return stack.data, handles
+
+
+@dataclass
+class GroupProducts:
+    """Side products of right operands sharing one left operand.
+
+    ``stack`` holds the stacked products when one stacked call served the
+    group (``None`` on the per-pair path); ``items`` the per-pair products
+    (views of the stack, or each pair's own); ``backend`` / ``fallback``
+    the one dispatch that computed them.
+    """
+
+    stack: SideProducts | None
+    items: list
+    backend: str
+    fallback: str | None
+
+
+#: Smallest per-pair result a stacked ``C`` may serve.  A stacked GEMM
+#: can round differently from the per-pair one, and the probe compares
+#: values: on a tiny result a different kernel could agree by chance.
+_STACK_MIN_ELEMENTS = 64
+
+
+def group_products(engine, plan, enc_a, enc_bs, stacked_b=None) -> GroupProducts:
+    """The side products of ``enc_a`` against every handle of ``enc_bs``.
+
+    ``C`` — the one large product — is computed by one GEMM over the right
+    operands stacked side by side once the bitwise probe of the group's
+    ``(plan, width)`` signature passed; the thin checksum products are
+    per pair (their per-pair and stacked GEMMs use different BLAS kernels).
+    The first group of a signature runs the probe (returning the per-pair
+    reference products); a failed probe keeps the signature on per-pair
+    products, as do results too small for a probe to be conclusive.
+    ``stacked_b`` holds the right operands side by side when the caller
+    already built it.  The ``result`` chaos event fires per pair on the products
+    it returns.
+    """
+    count = len(enc_bs)
+    m, q = enc_a.data.shape[0], enc_bs[0].data.shape[1]
+    verdict = False
+    if count > 1 and m > 1 and q > 1 and m * q >= _STACK_MIN_ELEMENTS:
+        with engine._stacked_lock:
+            verdict = engine._stacked_ok.get((plan.key, count))
+    if verdict is not False and stacked_b is None:
+        stacked_b = np.hstack([eb.data for eb in enc_bs])
+
+    def compute(gemm):
+        a, ea = enc_a.data, enc_a.checksums
+        thin = [
+            (gemm(ea, eb.data), gemm(a, eb.checksums), gemm(ea, eb.checksums))
+            for eb in enc_bs
+        ]
+        per_pair = stacked = None
+        if verdict is not True:
+            per_pair = [
+                SideProducts(c=gemm(a, eb.data), r=r, k=k, x=x)
+                for eb, (r, k, x) in zip(enc_bs, thin)
+            ]
+        if verdict is not False:
+            stacked = SideProducts(
+                c=gemm(a, stacked_b),
+                r=np.hstack([r for r, _k, _x in thin]),
+                k=np.hstack([k for _r, k, _x in thin]),
+                x=np.hstack([x for _r, _k, x in thin]),
+            )
+        return per_pair, stacked
+
+    (per_pair, stacked), used, fallback = engine._dispatch(plan, compute)
+    if verdict is None:
+        ok = _probe(plan, stacked, per_pair)
+        with engine._stacked_lock:
+            engine._stacked_ok[(plan.key, count)] = ok
+        if not ok:
+            engine._m_pipe_fallbacks.labels(reason="bitwise_probe").inc()
+    if verdict is True:
+        group = GroupProducts(
+            stacked, [stacked.item(j, count) for j in range(count)],
+            used, fallback,
+        )
+    else:
+        group = GroupProducts(None, per_pair, used, fallback)
+    for sp in group.items:
+        engine._result_hook(used, sp, plan)
+    return group
+
+
+def _probe(plan, stacked: SideProducts, items: list) -> bool:
+    """Whether the stacked products slice into the per-pair ones, bitwise."""
+    count = len(items)
+    for j, ref in enumerate(items):
+        got = stacked.item(j, count)
+        if not all(
+            np.array_equal(x, y)
+            for x, y in zip((got.c, got.r, got.k, got.x),
+                            (ref.c, ref.r, ref.k, ref.x))
+        ):
+            return False
+    # Identical bytes must also slice into identical discrepancies.
+    col_cat, row_cat = side_discrepancies(
+        stacked, plan.row_layout, plan.col_layout, items=count
+    )
+    w = plan.col_layout.encoded_rows
+    nb = plan.col_layout.num_blocks
+    for j, ref in enumerate(items):
+        col, row = side_discrepancies(ref, plan.row_layout, plan.col_layout)
+        if not (
+            np.array_equal(col, col_cat[:, j * w : (j + 1) * w])
+            and np.array_equal(row, row_cat[:, j * nb : (j + 1) * nb])
+        ):
+            return False
+    return True
+
+
+def group_reports(engine, plan, cfg, enc_a, enc_bs, group: GroupProducts):
+    """Check reports of one group: batched grids, one discrepancy pass."""
+    count = len(enc_bs)
+    col_eps, row_eps, backing = _batch_epsilon_grids(
+        [enc_a] * count, enc_bs, cfg, plan
+    )
+    if group.stack is not None:
+        col_cat, row_cat = side_discrepancies(
+            group.stack, plan.row_layout, plan.col_layout, items=count
+        )
+        w = plan.col_layout.encoded_rows
+        nb = plan.col_layout.num_blocks
+        discs = [
+            (col_cat[:, j * w : (j + 1) * w], row_cat[:, j * nb : (j + 1) * nb])
+            for j in range(count)
+        ]
+    else:
+        discs = [
+            side_discrepancies(sp, plan.row_layout, plan.col_layout)
+            for sp in group.items
+        ]
+    reports = [
+        build_report(
+            cd, ce, rd, re_, plan.row_layout, plan.col_layout
+        )
+        for (cd, rd), ce, re_ in zip(discs, col_eps, row_eps)
+    ]
+    # Reports keep only discrepancy arrays; the batched tolerance grids
+    # (the backing stores of the per-pair slices) recycle.
+    for buf in backing:
+        plan.pool.give(buf)
+    return reports
+
+
+def make_result(engine, plan, cfg, enc_a, enc_b, sp, report, backend,
+                fallback, fused, fused_fallback, *, copy_c: bool):
+    """One pair's :class:`AbftResult` (``copy_c`` for views of a stack)."""
+    provider = AABFTEpsilonProvider.from_arrays(
+        scheme=plan.scheme,
+        row_values=enc_a.top_values,
+        row_indices=enc_a.top_indices,
+        col_values=enc_b.top_values,
+        col_indices=enc_b.top_indices,
+        row_layout=plan.row_layout,
+        col_layout=plan.col_layout,
+        inner_dim=plan.n,
+        epsilon_floor=cfg.epsilon_floor,
+    )
+    engine._m_calls.inc()
+    if report.error_detected:
+        engine._m_detections.inc()
+    return AbftResult(
+        c=np.ascontiguousarray(sp.c) if copy_c else sp.c,
+        c_fc=None,
+        report=report,
+        row_layout=plan.row_layout,
+        col_layout=plan.col_layout,
+        provider=provider,
+        backend=backend,
+        backend_fallback=fallback,
+        fused=fused,
+        fused_fallback=fused_fallback,
+        products=sp,
     )
 
 
@@ -119,120 +337,81 @@ def run_fused(engine, a_items, b_items, cfg) -> list:
     )
     plan, _hit = engine._plans.get(m, n, q, dtype, cfg)
 
-    # --- encode (deduplicated; distinct right operands batched) ---------
+    # --- encode (deduplicated; distinct right operands stacked) ---------
     t0 = time.perf_counter()
-    enc_a, fresh_a = _resolve_side(engine, a_items, "a", cfg, plan, dtype)
-    enc_b, fresh_b = _resolve_side(engine, b_items, "b", cfg, plan, dtype)
+    enc_a = _resolve_side(engine, a_items, "a", cfg, plan, dtype)
+    enc_b = _resolve_side(engine, b_items, "b", cfg, plan, dtype)
     engine._add_seconds("encode", time.perf_counter() - t0)
 
-    c_fcs = []
-    backends_used = []
-    dispatch_fallbacks = []
-    if cfg.fusion == "fused":
-        # --- fused online multiply+check (grids first, then the tile
-        # loops; reports come straight out of the in-loop accumulators) --
+    fused_online = cfg.fusion == "fused"
+    outputs: list = [None] * len(a_items)
+    if fused_online:
+        # --- fused online multiply+check, one tile loop per pair --------
         t0 = time.perf_counter()
-        col_eps, row_eps, grid_backing = _batch_epsilon_grids(
+        col_eps, row_eps, backing = _batch_epsilon_grids(
             enc_a, enc_b, cfg, plan
         )
         check_s = time.perf_counter() - t0  # grid build is check work
-        reports = []
-        for ea, eb, ce, re_ in zip(enc_a, enc_b, col_eps, row_eps):
-            outcome, used, fallback = engine._fused_online_gemm(
-                plan, cfg, ea.array, eb.array, ce, re_
+        for i, (ea, eb, ce, re_) in enumerate(
+            zip(enc_a, enc_b, col_eps, row_eps)
+        ):
+            outcome, used, fallback = engine._fused_online(
+                plan, cfg, ea, eb, ce, re_
             )
             t1 = time.perf_counter()
-            reports.append(engine._fused_report(outcome, ce, re_, plan))
+            report = engine._fused_report(outcome, ce, re_, plan)
             check_s += outcome.check_seconds + (time.perf_counter() - t1)
-            c_fcs.append(outcome.out)
-            backends_used.append(used)
-            dispatch_fallbacks.append(fallback)
-        for buf in grid_backing:
+            outputs[i] = (outcome.products, report, used, fallback, False)
+        for buf in backing:
             plan.pool.give(buf)
-        for enc in fresh_a + fresh_b:
-            plan.pool.give(enc.array)
         engine._add_seconds(
             "multiply", max(0.0, time.perf_counter() - t0 - check_s)
         )
         engine._add_seconds("check", check_s)
     else:
-        # --- multiply (backend-dispatched per pair: bitwise == single) --
+        groups: dict[int, list[int]] = {}
+        for i, ea in enumerate(enc_a):
+            groups.setdefault(id(ea), []).append(i)
+        # --- multiply: one side-product call per shared left operand ----
         t0 = time.perf_counter()
-        for ea, eb in zip(enc_a, enc_b):
-            c_fc, used, fallback = engine._dispatch_gemm(
-                plan, ea.array, eb.array
-            )
-            c_fcs.append(c_fc)
-            backends_used.append(used)
-            dispatch_fallbacks.append(fallback)
-        engine._add_seconds("multiply", time.perf_counter() - t0)
-        # Freshly encoded buffers are consumed by the multiplies; results
-        # keep only top-p arrays, so they recycle (user handles are
-        # untouched).
-        for enc in fresh_a + fresh_b:
-            plan.pool.give(enc.array)
-
-        # --- check (tolerance grids batched per distinct pair) ----------
-        t0 = time.perf_counter()
-        col_eps, row_eps, grid_backing = _batch_epsilon_grids(
-            enc_a, enc_b, cfg, plan
-        )
-        reports = [
-            _check_one(c_fc, ce, re_, plan)
-            for c_fc, ce, re_ in zip(c_fcs, col_eps, row_eps)
+        products = [
+            group_products(engine, plan, enc_a[idx[0]], [enc_b[i] for i in idx])
+            for idx in groups.values()
         ]
-        # Reports keep only discrepancy arrays; the batched tolerance
-        # grids (the backing stores of the per-pair slices) recycle.
-        for buf in grid_backing:
-            plan.pool.give(buf)
+        engine._add_seconds("multiply", time.perf_counter() - t0)
+        # --- check (tolerance grids and discrepancies batched) ----------
+        t0 = time.perf_counter()
+        for idx, group in zip(groups.values(), products):
+            reports = group_reports(
+                engine, plan, cfg, enc_a[idx[0]], [enc_b[i] for i in idx],
+                group,
+            )
+            for j, i in enumerate(idx):
+                outputs[i] = (
+                    group.items[j], reports[j], group.backend,
+                    group.fallback, group.stack is not None,
+                )
         engine._add_seconds("check", time.perf_counter() - t0)
 
-    results = []
-    for c_fc, ea, eb, report, used, dispatch_fb in zip(
-        c_fcs, enc_a, enc_b, reports, backends_used, dispatch_fallbacks
-    ):
-        c = strip_encoding(
-            c_fc, plan.row_layout, plan.col_layout, ea.padding, eb.padding
+    return [
+        make_result(
+            engine, plan, cfg, ea, eb, sp, report, used,
+            selection_fallback or fallback, fused_online, fused_fallback,
+            copy_c=copy_c,
         )
-        provider = AABFTEpsilonProvider.from_arrays(
-            scheme=plan.scheme,
-            row_values=ea.top_values,
-            row_indices=ea.top_indices,
-            col_values=eb.top_values,
-            col_indices=eb.top_indices,
-            row_layout=plan.row_layout,
-            col_layout=plan.col_layout,
-            inner_dim=plan.n,
-            epsilon_floor=cfg.epsilon_floor,
+        for ea, eb, (sp, report, used, fallback, copy_c) in zip(
+            enc_a, enc_b, outputs
         )
-        engine._m_calls.inc()
-        if report.error_detected:
-            engine._m_detections.inc()
-        results.append(
-            AbftResult(
-                c=c,
-                c_fc=c_fc,
-                report=report,
-                row_layout=plan.row_layout,
-                col_layout=plan.col_layout,
-                provider=provider,
-                backend=used,
-                backend_fallback=selection_fallback or dispatch_fb,
-                fused=cfg.fusion == "fused",
-                fused_fallback=fused_fallback,
-            )
-        )
-    return results
+    ]
 
 
-def _resolve_side(engine, items, side, cfg, plan, dtype) -> tuple[list, list]:
-    """Encoded operands for one side: dedupe, validate handles, batch-encode.
+def _resolve_side(engine, items, side, cfg, plan, dtype) -> list:
+    """Encoded operands for one side: dedupe, validate handles, encode.
 
-    Returns ``(operands, fresh)`` where ``fresh`` lists each *internally*
-    encoded operand once — their buffers are pool-recyclable after the
-    multiply, unlike user-supplied handles.
+    Distinct raw right operands are encoded in one pass over their stack
+    (:func:`encode_stack`).
     """
-    from .engine import EncodedOperand
+    from .engine import EncodedOperand, encode_operand
 
     encoded: dict[int, object] = {}
     raw_ids: list[int] = []
@@ -249,10 +428,15 @@ def _resolve_side(engine, items, side, cfg, plan, dtype) -> tuple[list, list]:
             raw_ids.append(key)
             raw_arrays.append(np.asarray(item).astype(dtype, copy=False))
 
-    fresh = []
-    for key, arr in zip(raw_ids, raw_arrays):
-        encoded[key] = engine._encode_with_plan(arr, side, cfg, plan)
-        fresh.append(encoded[key])
+    if raw_arrays:
+        if side == "b":
+            _stacked, handles = encode_stack(plan, cfg, raw_arrays)
+        else:
+            handles = [
+                encode_operand(arr, side, cfg, pool=plan.pool)
+                for arr in raw_arrays
+            ]
+        encoded.update(zip(raw_ids, handles))
 
     out = []
     seen: set[int] = set()
@@ -264,7 +448,7 @@ def _resolve_side(engine, items, side, cfg, plan, dtype) -> tuple[list, list]:
             engine._m_reuses.inc()
         seen.add(key)
         out.append(encoded[key])
-    return out, fresh
+    return out
 
 
 def _batch_epsilon_grids(enc_a, enc_b, cfg, plan):
@@ -327,23 +511,3 @@ def _batch_epsilon_grids(enc_a, enc_b, cfg, plan):
     col_eps = [col_grids[distinct[key]] for key in pair_keys]
     row_eps = [row_grids[distinct[key]] for key in pair_keys]
     return col_eps, row_eps, backing
-
-
-def _check_one(c_fc, col_eps, row_eps, plan) -> CheckReport:
-    """The engine's vectorised check against precomputed tolerance grids."""
-    col_disc = column_discrepancies(c_fc, plan.row_layout)
-    row_disc = row_discrepancies(c_fc, plan.col_layout)
-    clean = (
-        bool(np.all(col_disc <= col_eps))
-        and bool(np.all(row_disc <= row_eps))
-        and bool(np.all(np.isfinite(col_disc)))
-        and bool(np.all(np.isfinite(row_disc)))
-    )
-    if not clean:
-        return build_report(
-            col_disc, col_eps, row_disc, row_eps,
-            plan.row_layout, plan.col_layout,
-        )
-    report = CheckReport(column_disc=col_disc, row_disc=row_disc)
-    report.num_checks = col_disc.size + row_disc.size
-    return report

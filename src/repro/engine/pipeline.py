@@ -14,23 +14,24 @@ overlap loses to its dispatch overhead — the schedule degenerates to the
 serial ``E M C`` slot order and every slot runs inline.
 
 Even without thread overlap the chunked execution wins: each chunk's
-right operands are concatenated column-wise so the encode reduction, the
-GEMM, the discrepancy kernels and the tolerance-grid evaluation each run
-*once per chunk* instead of once per pair.
+right operands are stacked side by side so the checksum and top-p pass,
+the ``C`` GEMM, the discrepancy pass and the tolerance-grid evaluation
+each run *once per chunk* instead of once per pair — the same
+stage bodies the fused path runs per shared-left group
+(:func:`~repro.engine.fused.encode_stack`,
+:func:`~repro.engine.fused.group_products`,
+:func:`~repro.engine.fused.group_reports`).
 
 **Bitwise identity is the hard invariant.**  Per-item slices of the
-concatenated encode/check reductions are block-local, and the tolerance
-grids are elementwise in the top-p data — but a concatenated GEMM is
-*not* guaranteed to slice into the per-item GEMM bytes (BLAS kernel
-selection depends on operand shapes).  The executor therefore
-dual-computes the **first** chunk of every ``(plan, chunk width)``
-signature along both the concatenated and the per-item reference path
-and compares every artifact — encoded slices, top-p data, result bytes,
-discrepancies.  Only a byte-identical probe enables the concatenated
-path for that signature; any mismatch pins the signature to the per-item
-reference path (counted in ``abft_pipeline_fallbacks_total``), which is
-the fused path's own per-item code and bitwise identical by
-construction.
+stacked checksum, top-p and discrepancy passes are per-column or
+per-block, and the tolerance grids are elementwise in the top-p data —
+but a stacked GEMM is *not* guaranteed to slice into the per-item GEMM
+bytes (BLAS kernel selection depends on operand shapes).  The first
+chunk of every ``(plan, chunk width)`` signature is therefore
+dual-computed along the stacked and the per-item path and every product
+and discrepancy compared; only a byte-identical probe enables the stacked
+call for that signature, and any mismatch pins it to per-item products
+(counted in ``abft_pipeline_fallbacks_total``).
 """
 
 from __future__ import annotations
@@ -40,14 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..abft.checking import column_discrepancies, row_discrepancies
-from ..abft.encoding import strip_encoding
-from ..abft.providers import AABFTEpsilonProvider
-from ..abft.result import AbftResult
-from ..bounds.upper_bound import upper_bound_grid_arrays
-from ..kernels.stage_split import ChunkEncodedB, chunk_discrepancies, encode_b_chunk
 from ..telemetry import span
-from .fused import _batch_epsilon_grids, _check_one, fused_supported
+from .fused import (
+    _batch_epsilon_grids,
+    encode_stack,
+    fused_supported,
+    group_products,
+    group_reports,
+    make_result,
+)
 from .policy import ExecutionPolicy
 from .stats import StageCosts
 
@@ -231,7 +233,6 @@ class _Group:
     """One shared-left-operand group of the batch."""
 
     enc_a: object  # EncodedOperand
-    fresh: bool
     indices: list[int]
 
 
@@ -241,16 +242,12 @@ class _ChunkState:
 
     group: _Group
     items: list[tuple[int, object]]  # (original index, raw right operand)
-    encoded: object = None  # ChunkEncodedB | list[EncodedOperand]
+    stacked_b: object = None  # the chunk's right operands side by side
+    handles: list | None = None  # per-item right handles
     encode_future: object = None
     check_future: object = None
-    c_cat: object = None  # concatenated GEMM result (batched path only)
-    c_fcs: list | None = None
-    backends: list | None = None
-    fallbacks: list | None = None
-    reports: list | None = None
-    enc_padding: int = 0
-    item_tops: list | None = None  # (values, indices) per item
+    products: object = None  # GroupProducts
+    outputs: list | None = None  # (products, report, backend, fallback)
 
 
 def run_pipelined(engine, a_items, b_items, cfg, policy) -> list:
@@ -260,7 +257,12 @@ def run_pipelined(engine, a_items, b_items, cfg, policy) -> list:
     back in submission order, bitwise identical to sequential
     :meth:`~repro.engine.MatmulEngine.matmul` calls.
     """
-    from .engine import EncodedOperand, _operand_dtype, _resolve_dtype
+    from .engine import (
+        EncodedOperand,
+        _operand_dtype,
+        _resolve_dtype,
+        encode_operand,
+    )
 
     t_start = time.perf_counter()
     dtype = _resolve_dtype(*[_operand_dtype(x) for x in a_items + b_items])
@@ -288,13 +290,13 @@ def run_pipelined(engine, a_items, b_items, cfg, policy) -> list:
         if group is None:
             if isinstance(a, EncodedOperand):
                 engine._check_handle(a, "a", cfg, dtype)
-                enc_a, fresh = a, False
+                enc_a = a
             else:
-                enc_a = engine._encode_with_plan(
-                    np.asarray(a).astype(dtype, copy=False), "a", cfg, plan
+                enc_a = encode_operand(
+                    np.asarray(a).astype(dtype, copy=False), "a", cfg,
+                    pool=plan.pool,
                 )
-                fresh = True
-            group = _Group(enc_a=enc_a, fresh=fresh, indices=[])
+            group = _Group(enc_a=enc_a, indices=[])
             by_id[id(a)] = group
             groups.append(group)
         # Reuse accounting matches the fused path: handles always count,
@@ -366,7 +368,7 @@ def run_pipelined(engine, a_items, b_items, cfg, policy) -> list:
                 busy["check"] += chk_s
                 continue
             _res, elapsed = _timed(
-                "multiply", _multiply_chunk, engine, plan, cfg, state, busy
+                "multiply", _multiply_chunk, engine, plan, state
             )
             busy["multiply"] += elapsed
         else:  # check
@@ -382,52 +384,16 @@ def run_pipelined(engine, a_items, b_items, cfg, policy) -> list:
             _res, elapsed = state.check_future.result()
             busy["check"] += elapsed
 
-    # The left-operand encodings are fully consumed once every multiply
-    # has run; internally encoded buffers recycle (handles are untouched).
-    for group in groups:
-        if group.fresh:
-            plan.pool.give(group.enc_a.array)
-
     # --- assemble results in submission order ---------------------------
     results: list = [None] * len(a_items)
     for state in states:
-        ea = state.group.enc_a
+        stacked = state.products is not None and state.products.stack is not None
         for j, (idx, _b) in enumerate(state.items):
-            c_fc = state.c_fcs[j]
-            report = state.reports[j]
-            col_values, col_indices = state.item_tops[j]
-            c = strip_encoding(
-                c_fc,
-                plan.row_layout,
-                plan.col_layout,
-                ea.padding,
-                state.enc_padding,
-            )
-            provider = AABFTEpsilonProvider.from_arrays(
-                scheme=plan.scheme,
-                row_values=ea.top_values,
-                row_indices=ea.top_indices,
-                col_values=col_values,
-                col_indices=col_indices,
-                row_layout=plan.row_layout,
-                col_layout=plan.col_layout,
-                inner_dim=plan.n,
-                epsilon_floor=cfg.epsilon_floor,
-            )
-            engine._m_calls.inc()
-            if report.error_detected:
-                engine._m_detections.inc()
-            results[idx] = AbftResult(
-                c=c,
-                c_fc=c_fc,
-                report=report,
-                row_layout=plan.row_layout,
-                col_layout=plan.col_layout,
-                provider=provider,
-                backend=state.backends[j],
-                backend_fallback=selection_fallback or state.fallbacks[j],
-                fused=fused_online,
-                fused_fallback=fused_fallback,
+            sp, report, used, fallback = state.outputs[j]
+            results[idx] = make_result(
+                engine, plan, cfg, state.group.enc_a, state.handles[j], sp,
+                report, used, selection_fallback or fallback, fused_online,
+                fused_fallback, copy_c=stacked,
             )
 
     # --- pipeline telemetry: bubble fraction and stage occupancy --------
@@ -452,148 +418,19 @@ def run_pipelined(engine, a_items, b_items, cfg, policy) -> list:
 # ----------------------------------------------------------------------
 # chunk stage bodies
 # ----------------------------------------------------------------------
-def _stacked_verdict(engine, plan, count) -> bool | None:
-    key = (plan.key, count)
-    with engine._stacked_lock:
-        return engine._stacked_ok.get(key)
-
-
 def _encode_chunk(engine, plan, cfg, state: _ChunkState, dtype) -> None:
-    """Encode slot: concatenated fast path or per-item reference path.
-
-    Fused-online chunks always take the per-item path: their multiply
-    slot runs one fused tile loop per pair against per-pair tolerance
-    grids, so there is no concatenated GEMM to feed.
-    """
-    items = [
+    """Encode slot: one checksum and top-p pass over the chunk's stack."""
+    arrays = [
         np.asarray(b).astype(dtype, copy=False) for _idx, b in state.items
     ]
-    if (
-        cfg.fusion == "fused"
-        or _stacked_verdict(engine, plan, len(items)) is False
-    ):
-        state.encoded = [
-            engine._encode_with_plan(item, "b", cfg, plan) for item in items
-        ]
-        state.enc_padding = plan.cols_added
-        return
-    state.encoded = encode_b_chunk(
-        items,
-        cfg.block_size,
-        q=plan.q,
-        p=cfg.p,
-        dtype=dtype,
-        pool=plan.pool,
+    state.stacked_b, state.handles = encode_stack(plan, cfg, arrays)
+
+
+def _multiply_chunk(engine, plan, state: _ChunkState) -> None:
+    """Multiply slot: the chunk's side products (probe-gated stacking)."""
+    state.products = group_products(
+        engine, plan, state.group.enc_a, state.handles, state.stacked_b
     )
-    state.enc_padding = state.encoded.padding
-
-
-def _multiply_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
-    """Multiply slot: probe, concatenated GEMM, or per-item reference."""
-    a_arr = state.group.enc_a.array
-    count = len(state.items)
-    verdict = _stacked_verdict(engine, plan, count)
-    if isinstance(state.encoded, ChunkEncodedB) and verdict is None:
-        _probe_chunk(engine, plan, cfg, state, busy)
-        return
-    if isinstance(state.encoded, ChunkEncodedB):
-        # Probed byte-identical: one GEMM covers the whole chunk.
-        enc: ChunkEncodedB = state.encoded
-        c_cat, used, fallback = engine._dispatch_gemm(plan, a_arr, enc.encoded)
-        w = enc.item_width
-        state.c_cat = c_cat
-        state.c_fcs = [c_cat[:, j * w : (j + 1) * w] for j in range(count)]
-        state.backends = [used] * count
-        state.fallbacks = [fallback] * count
-        state.item_tops = [enc.item_tops(j) for j in range(count)]
-        plan.pool.give(enc.encoded)
-        return
-    # Reference path (probe failed for this signature earlier).
-    state.c_fcs, state.backends, state.fallbacks = [], [], []
-    state.item_tops = []
-    for enc_b in state.encoded:
-        c_fc, used, fallback = engine._dispatch_gemm(plan, a_arr, enc_b.array)
-        state.c_fcs.append(c_fc)
-        state.backends.append(used)
-        state.fallbacks.append(fallback)
-        state.item_tops.append((enc_b.top_values, enc_b.top_indices))
-
-
-def _probe_chunk(engine, plan, cfg, state: _ChunkState, busy) -> None:
-    """Dual-compute the chunk along both paths and compare every byte.
-
-    The reference artifacts are kept as the chunk's results (they are the
-    guaranteed ones either way); the verdict decides how every *later*
-    chunk of this ``(plan, chunk width)`` signature executes.
-    """
-    a_arr = state.group.enc_a.array
-    enc: ChunkEncodedB = state.encoded
-    count = len(state.items)
-    dtype = enc.encoded.dtype
-
-    # Reference per-item encode (timed as encode work, not multiply).
-    t0 = time.perf_counter()
-    ref_enc = [
-        engine._encode_with_plan(
-            np.asarray(b).astype(dtype, copy=False), "b", cfg, plan
-        )
-        for _idx, b in state.items
-    ]
-    enc_elapsed = time.perf_counter() - t0
-    engine._add_seconds("encode", enc_elapsed)
-    busy["encode"] += enc_elapsed
-
-    w = enc.item_width
-    ok = all(
-        np.array_equal(ref.array, enc.item_encoded(j))
-        and np.array_equal(ref.top_values, enc.item_tops(j)[0])
-        and np.array_equal(ref.top_indices, enc.item_tops(j)[1])
-        for j, ref in enumerate(ref_enc)
-    )
-
-    c_cat, _used, _fb = engine._dispatch_gemm(plan, a_arr, enc.encoded)
-    ref_runs = [
-        engine._dispatch_gemm(plan, a_arr, ref.array) for ref in ref_enc
-    ]
-    ok = ok and all(
-        np.array_equal(run[0], c_cat[:, j * w : (j + 1) * w])
-        for j, run in enumerate(ref_runs)
-    )
-    if ok:
-        # Discrepancy parity closes the loop: identical result bytes must
-        # slice into identical checksum discrepancies.
-        t0 = time.perf_counter()
-        cat_col, cat_row = chunk_discrepancies(
-            c_cat, plan.row_layout, enc.layout
-        )
-        blocks = plan.col_layout.num_blocks
-        ok = all(
-            np.array_equal(
-                column_discrepancies(run[0], plan.row_layout),
-                cat_col[:, j * w : (j + 1) * w],
-            )
-            and np.array_equal(
-                row_discrepancies(run[0], plan.col_layout),
-                cat_row[:, j * blocks : (j + 1) * blocks],
-            )
-            for j, run in enumerate(ref_runs)
-        )
-        chk_elapsed = time.perf_counter() - t0
-        engine._add_seconds("check", chk_elapsed)
-        busy["check"] += chk_elapsed
-
-    with engine._stacked_lock:
-        engine._stacked_ok[(plan.key, count)] = ok
-    if not ok:
-        engine._m_pipe_fallbacks.labels(reason="bitwise_probe").inc()
-
-    # The reference artifacts become the chunk's results.
-    state.c_fcs = [run[0] for run in ref_runs]
-    state.backends = [run[1] for run in ref_runs]
-    state.fallbacks = [run[2] for run in ref_runs]
-    state.item_tops = [(ref.top_values, ref.top_indices) for ref in ref_enc]
-    state.encoded = ref_enc
-    plan.pool.give(enc.encoded)
 
 
 def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> tuple[float, float]:
@@ -607,29 +444,23 @@ def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> tuple[float, float]:
     its in-loop checks, so the split stays honest for the cost model.
     """
     ea = state.group.enc_a
-    enc_b = state.encoded
+    enc_b = state.handles
     t0 = time.perf_counter()
     col_eps, row_eps, backing = _batch_epsilon_grids(
         [ea] * len(enc_b), enc_b, cfg, plan
     )
     check_s = time.perf_counter() - t0  # grid build is check work
-    state.c_fcs, state.backends, state.fallbacks = [], [], []
-    state.item_tops, state.reports = [], []
+    state.outputs = []
     for eb, ce, re_ in zip(enc_b, col_eps, row_eps):
-        outcome, used, fallback = engine._fused_online_gemm(
-            plan, cfg, ea.array, eb.array, ce, re_
+        outcome, used, fallback = engine._fused_online(
+            plan, cfg, ea, eb, ce, re_
         )
         t1 = time.perf_counter()
-        state.reports.append(engine._fused_report(outcome, ce, re_, plan))
+        report = engine._fused_report(outcome, ce, re_, plan)
         check_s += outcome.check_seconds + (time.perf_counter() - t1)
-        state.c_fcs.append(outcome.out)
-        state.backends.append(used)
-        state.fallbacks.append(fallback)
-        state.item_tops.append((eb.top_values, eb.top_indices))
+        state.outputs.append((outcome.products, report, used, fallback))
     for buf in backing:
         plan.pool.give(buf)
-    for eb in enc_b:
-        plan.pool.give(eb.array)
     mul_s = max(0.0, time.perf_counter() - t0 - check_s)
     engine._add_seconds("multiply", mul_s)
     engine._add_seconds("check", check_s)
@@ -637,84 +468,12 @@ def _fused_chunk(engine, plan, cfg, state: _ChunkState) -> tuple[float, float]:
 
 
 def _check_chunk(engine, plan, cfg, state: _ChunkState) -> None:
-    """Check slot: batched grids + discrepancies, sliced per item."""
-    ea = state.group.enc_a
-    if not isinstance(state.encoded, ChunkEncodedB):
-        # Reference path: the fused per-item grid/check code, verbatim.
-        enc_b = state.encoded
-        col_eps, row_eps, backing = _batch_epsilon_grids(
-            [ea] * len(enc_b), enc_b, cfg, plan
-        )
-        state.reports = [
-            _check_one(c_fc, ce, re_, plan)
-            for c_fc, ce, re_ in zip(state.c_fcs, col_eps, row_eps)
-        ]
-        for buf in backing:
-            plan.pool.give(buf)
-        for enc in enc_b:
-            plan.pool.give(enc.array)
-        return
-
-    enc: ChunkEncodedB = state.encoded
-    pool = plan.pool
-    row_layout, col_layout = plan.row_layout, plan.col_layout
-    cs_rows = row_layout.all_checksum_indices()
-    cs_cols = col_layout.all_checksum_indices()
-    w = enc.item_width
-    count = enc.count
-    cat_cs = np.concatenate([cs_cols + j * w for j in range(count)])
-    cs_vals = enc.top_values[cat_cs]
-    cs_idx = enc.top_indices[cat_cs]
-    col_y = pool.take((cs_rows.size, enc.top_values.shape[0]))
-    upper_bound_grid_arrays(
-        ea.top_values[cs_rows], ea.top_indices[cs_rows],
-        enc.top_values, enc.top_indices, out=col_y,
+    """Check slot: batched grids and one discrepancy pass, sliced per item."""
+    group = state.products
+    reports = group_reports(
+        engine, plan, cfg, state.group.enc_a, state.handles, group
     )
-    row_y = pool.take((ea.top_values.shape[0], cs_vals.shape[0]))
-    upper_bound_grid_arrays(
-        ea.top_values, ea.top_indices, cs_vals, cs_idx, out=row_y
-    )
-    col_e = plan.scheme.epsilon_array(plan.n, col_y)
-    row_e = plan.scheme.epsilon_array(plan.n, row_y)
-    pool.give(col_y)
-    pool.give(row_y)
-    if cfg.epsilon_floor > 0.0:
-        np.maximum(col_e, cfg.epsilon_floor, out=col_e)
-        np.maximum(row_e, cfg.epsilon_floor, out=row_e)
-
-    # One discrepancy pass over the concatenation; slices are the items'.
-    blocks = col_layout.num_blocks
-    cat_col, cat_row = chunk_discrepancies(state.c_cat, row_layout, enc.layout)
-    state.reports = []
-    for j in range(count):
-        state.reports.append(
-            _check_one_precomputed(
-                cat_col[:, j * w : (j + 1) * w],
-                col_e[:, j * w : (j + 1) * w],
-                cat_row[:, j * blocks : (j + 1) * blocks],
-                row_e[:, j * blocks : (j + 1) * blocks],
-                plan,
-            )
-        )
-    pool.give(col_e)
-    pool.give(row_e)
-
-
-def _check_one_precomputed(col_disc, col_eps, row_disc, row_eps, plan):
-    """The fused check decision over already-extracted discrepancies."""
-    from ..abft.checking import CheckReport, build_report
-
-    clean = (
-        bool(np.all(col_disc <= col_eps))
-        and bool(np.all(row_disc <= row_eps))
-        and bool(np.all(np.isfinite(col_disc)))
-        and bool(np.all(np.isfinite(row_disc)))
-    )
-    if not clean:
-        return build_report(
-            col_disc, col_eps, row_disc, row_eps,
-            plan.row_layout, plan.col_layout,
-        )
-    report = CheckReport(column_disc=col_disc, row_disc=row_disc)
-    report.num_checks = col_disc.size + row_disc.size
-    return report
+    state.outputs = [
+        (sp, report, group.backend, group.fallback)
+        for sp, report in zip(group.items, reports)
+    ]

@@ -2,7 +2,7 @@
 
 Building a protected multiplication involves shape-dependent setup that is
 identical across repeated same-shape calls: partitioned layouts for both
-encoded axes, padding geometry and workspaces, and the bound-scheme object.
+encoded axes, the bound-scheme object and scratch workspaces.
 :class:`ExecutionPlan` bundles that setup; :class:`PlanCache` keeps plans in
 an LRU so iterative solvers and batch campaigns pay for it once.
 """
@@ -30,7 +30,7 @@ __all__ = ["PlanKey", "ExecutionPlan", "PlanCache", "WorkspacePool", "build_plan
 PlanKey = tuple
 
 #: Workspaces above this size are never pooled (a handful of retained
-#: 8192x8192 buffers would pin gigabytes); below it, padding reuses buffers.
+#: 8192x8192 buffers would pin gigabytes); below it, warm calls reuse them.
 _POOL_BYTE_LIMIT = 1 << 25
 
 
@@ -38,9 +38,8 @@ class WorkspacePool:
     """Thread-safe free-lists of scratch buffers keyed by ``(shape, dtype)``.
 
     Every :class:`ExecutionPlan` owns one pool; the engine recycles its
-    internal scratch arrays — padding workspaces, encoded-operand buffers
-    (after the multiply has consumed them), top-p search workspaces and
-    tolerance grids — through it across warm calls and fused batches.
+    internal scratch arrays — top-p search workspaces, GEMM tile staging
+    and tolerance grids — through it across warm calls and fused batches.
 
     Safety rules the engine observes (see ``docs/API.md``):
 
@@ -110,7 +109,8 @@ class ExecutionPlan:
     m, n, q:
         Unpadded operand dimensions.
     rows_added / cols_added:
-        Zero padding appended to reach block multiples.
+        Rows / columns the layouts add to reach block multiples (the
+        operands themselves are never padded).
     row_layout / col_layout:
         Partitioned layouts of the encoded result axes.
     scheme:
@@ -149,43 +149,6 @@ class ExecutionPlan:
         from ..backends import get_backend
 
         return get_backend(self.backend_name)
-
-    @property
-    def padded_m(self) -> int:
-        return self.m + self.rows_added
-
-    @property
-    def padded_q(self) -> int:
-        return self.q + self.cols_added
-
-    def pad_a(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Zero-pad ``a`` along axis 0, reusing a pooled workspace.
-
-        Returns ``(padded, workspace)``; pass the workspace to
-        :meth:`release` once the padded view is no longer needed.  When no
-        padding is required the operand is returned as-is.
-        """
-        if self.rows_added == 0:
-            return a, None
-        buf = self.pool.take((self.padded_m, self.n), self.dtype)
-        buf[: self.m] = a
-        buf[self.m :] = 0.0
-        return buf, buf
-
-    def pad_b(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Zero-pad ``b`` along axis 1, reusing a pooled workspace."""
-        if self.cols_added == 0:
-            return b, None
-        buf = self.pool.take((self.n, self.padded_q), self.dtype)
-        buf[:, : self.q] = b
-        buf[:, self.q :] = 0.0
-        return buf, buf
-
-    def release(self, workspace: np.ndarray | None, side: str) -> None:
-        """Return a padding workspace to its pool."""
-        if workspace is None:
-            return
-        self.pool.give(workspace)
 
 
 def build_plan(

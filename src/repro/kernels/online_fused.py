@@ -1,26 +1,26 @@
 """Online-ABFT fused into the tiled GEMM: per-tile checksums, early abort.
 
-The separate execution path streams the result three times: once to
-multiply, once for :func:`~repro.abft.checking.column_discrepancies` and
-once for :func:`~repro.abft.checking.row_discrepancies`.  Following the
+The separate execution path computes the four side products ``C``, ``R``,
+``K`` and ``X`` (:mod:`repro.kernels.sideproduct`) and then streams ``C``
+twice more for the column and row block sums.  Following the
 online-fault-tolerance GEMM literature (Wu/Zhai et al., PAPERS.md), this
-kernel folds the checksum comparison into the tile loop itself: each
-result tile is checked against its tolerance slice while its bytes are
-still hot, so a corrupted tile is flagged — and recomputed — *before* the
-remaining tiles run.
+kernel folds the checksum comparison into the tile loop itself: each tile
+of ``C`` is computed together with its slices of ``R``, ``K`` and ``X``
+and checked against its tolerance slice while its bytes are still hot, so
+a corrupted tile is flagged — and recomputed — *before* the remaining
+tiles run.
 
 Bitwise reconciliation
 ----------------------
-Fused tiles are **stride-aligned**: the tile edge is a whole number of
-``(BS+1)``-wide encoded blocks per axis, and the encoded result dims are
-themselves stride multiples, so every tile (clipped edge tiles included)
-covers whole checksum blocks.  A tile's discrepancy reduction is then the
-exact same per-element accumulation the full-matrix reduction performs on
-that slice — ``np.asarray(..., float64)`` cast included — so the
-concatenated per-tile grids are bitwise equal to the one-shot grids, and
-the tile GEMMs reuse :func:`~repro.kernels.matmul_tiled.tiled_matmul`'s
-per-tile BLAS calls so result bytes reconcile against ``tiled_matmul``
-over the same tile list.  Both properties are hypothesis-tested.
+Fused tiles are **block-aligned**: a tile spans whole ``BS`` blocks of
+rows and columns, so it owns its checksum rows and columns outright.  A
+tile's discrepancy reduction is the exact per-element accumulation the
+full-result reduction performs on that slice, so the per-tile grids
+assemble bitwise into the full grids of the tile products.  In the
+degenerate single-tile mode (``tile_blocks=None``) the products run
+through :func:`~repro.kernels.matmul_tiled.tiled_matmul` over the canonical
+tile list, so result bytes and grids equal the separate path's.  Both
+properties are hypothesis-tested.
 
 Abort semantics
 ---------------
@@ -44,11 +44,12 @@ import numpy as np
 from ..abft.encoding import PartitionedLayout
 from ..errors import ShapeError
 from .matmul_tiled import tiled_matmul
+from .sideproduct import SideProducts, side_discrepancies, side_products
 
 __all__ = ["OnlineFusedOutcome", "online_fused_matmul", "plan_fused_tiles"]
 
 # An inject hook receives (tile_index, attempt, tile_view) and may mutate
-# the tile in place — the chaos/fault-campaign seam.
+# the tile of C in place — the chaos/fault-campaign seam.
 InjectHook = Callable[[int, int, np.ndarray], None]
 
 
@@ -57,34 +58,31 @@ def plan_fused_tiles(
     col_layout: PartitionedLayout,
     tile_blocks: int | None,
 ) -> list[tuple[int, int, int, int]]:
-    """Stride-aligned tile decomposition of the encoded result.
+    """Block-aligned tile decomposition of the result.
 
-    The tile edge along each axis is ``tile_blocks`` whole encoded blocks
-    (``tile_blocks * (BS+1)`` encoded rows/cols), so every tile owns its
-    checksum rows and columns outright and can be checked independently.
-    Encoded dims are stride multiples, hence clipped edge tiles still
-    cover whole blocks.  ``tile_blocks=None`` yields the single
-    full-result tile — the degenerate fused mode whose result bytes and
-    discrepancy grids are bitwise equal to the separate default path.
+    Returns ``(block_row_start, block_row_end, block_col_start,
+    block_col_end)`` per tile in row-major order; each tile spans
+    ``tile_blocks`` whole blocks per axis (edge tiles are clipped) and
+    owns its checksum rows and columns.  ``tile_blocks=None`` yields the
+    single full-result tile — the degenerate fused mode whose result
+    bytes and discrepancy grids are bitwise equal to the separate path.
     """
-    m_enc = row_layout.encoded_rows
-    q_enc = col_layout.encoded_rows
+    nb_r = row_layout.num_blocks
+    nb_c = col_layout.num_blocks
     if tile_blocks is None:
-        return [(0, m_enc, 0, q_enc)]
+        return [(0, nb_r, 0, nb_c)]
     if tile_blocks < 1:
         raise ValueError(f"tile_blocks must be >= 1, got {tile_blocks}")
-    row_edge = tile_blocks * row_layout.stride
-    col_edge = tile_blocks * col_layout.stride
     return [
-        (i0, min(i0 + row_edge, m_enc), j0, min(j0 + col_edge, q_enc))
-        for i0 in range(0, m_enc, row_edge)
-        for j0 in range(0, q_enc, col_edge)
+        (i0, min(i0 + tile_blocks, nb_r), j0, min(j0 + tile_blocks, nb_c))
+        for i0 in range(0, nb_r, tile_blocks)
+        for j0 in range(0, nb_c, tile_blocks)
     ]
 
 
 @dataclass
 class OnlineFusedOutcome:
-    """What :func:`online_fused_matmul` did, besides the product itself.
+    """What :func:`online_fused_matmul` did, besides the products themselves.
 
     ``col_disc`` / ``row_disc`` hold the full discrepancy grids in the
     clean case (``early_abort=False``); after an early abort only the
@@ -92,7 +90,7 @@ class OnlineFusedOutcome:
     must rebuild the grids with the separate-path oracle before reporting.
     """
 
-    out: np.ndarray
+    products: SideProducts
     col_disc: np.ndarray
     row_disc: np.ndarray
     tiles: list[tuple[int, int, int, int]]
@@ -108,58 +106,11 @@ class OnlineFusedOutcome:
         return self.failed_tile is None
 
 
-def _tile_bad(
-    tile: np.ndarray,
-    bounds: tuple[int, int, int, int],
-    row_layout: PartitionedLayout,
-    col_layout: PartitionedLayout,
-    col_eps: np.ndarray,
-    row_eps: np.ndarray,
-    col_disc: np.ndarray,
-    row_disc: np.ndarray,
-) -> bool:
-    """Check one stride-aligned tile; record its grid slices; report failure.
-
-    The reductions replicate :func:`~repro.abft.checking.column_discrepancies`
-    and :func:`~repro.abft.checking.row_discrepancies` on the tile view.
-    Narrow inputs reduce with ``dtype=np.float64`` instead of materialising
-    the cast first — numpy casts each element on the fly into the same
-    pairwise accumulation, so the written slices stay bitwise equal to the
-    full-matrix grids while the float32 check skips a full cast pass.
-    """
-    i0, i1, j0, j1 = bounds
-    rows = i1 - i0
-    cols = j1 - j0
-    r_bs = row_layout.block_size
-    c_bs = col_layout.block_size
-    br0 = i0 // row_layout.stride
-    br1 = i1 // row_layout.stride
-    bc0 = j0 // col_layout.stride
-    bc1 = j1 // col_layout.stride
-
-    view = tile.reshape(br1 - br0, row_layout.stride, cols)
-    cd = col_disc[br0:br1, j0:j1]
-    np.sum(view[:, :r_bs, :], axis=1, dtype=np.float64, out=cd)
-    cd -= view[:, r_bs, :]
-    np.abs(cd, out=cd)
-
-    view = tile.reshape(rows, bc1 - bc0, col_layout.stride)
-    rd = row_disc[i0:i1, bc0:bc1]
-    np.sum(view[:, :, :c_bs], axis=2, dtype=np.float64, out=rd)
-    rd -= view[:, :, c_bs]
-    np.abs(rd, out=rd)
-
-    ce = col_eps[br0:br1, j0:j1]
-    re = row_eps[i0:i1, bc0:bc1]
-    return bool(
-        ((cd > ce) | ~np.isfinite(cd)).any()
-        or ((rd > re) | ~np.isfinite(rd)).any()
-    )
-
-
 def online_fused_matmul(
     a: np.ndarray,
+    ea: np.ndarray,
     b: np.ndarray,
+    eb: np.ndarray,
     *,
     row_layout: PartitionedLayout,
     col_layout: PartitionedLayout,
@@ -167,40 +118,40 @@ def online_fused_matmul(
     row_eps: np.ndarray,
     tile_blocks: int | None = None,
     gemm_tile: int | None = None,
-    out: np.ndarray | None = None,
     pool=None,
     executor=None,
     abort_on_failure: bool = True,
     max_recomputes: int = 2,
     inject_hook: InjectHook | None = None,
 ) -> OnlineFusedOutcome:
-    """``a @ b`` with the partitioned checksum check fused into the tiles.
+    """The side products of ``a @ b`` with the check fused into the tiles.
 
     Parameters
     ----------
+    a, ea, b, eb:
+        The raw operands and their block-checksum matrices
+        (:func:`~repro.kernels.sideproduct.block_checksums`).
     col_eps / row_eps:
         Dense tolerance grids from the provider's ``epsilon_grids`` —
         computed *before* the multiply, which is what makes the in-loop
         comparison possible.
     tile_blocks:
-        Fused tile edge in whole encoded blocks per axis
-        (:func:`plan_fused_tiles`); ``None`` is the degenerate
-        single-tile mode.
+        Fused tile edge in whole blocks per axis (:func:`plan_fused_tiles`);
+        ``None`` is the degenerate single-tile mode.
     gemm_tile:
         The plan's canonical GEMM tile edge, honoured **only** in the
-        degenerate single-fused-tile mode: the one fused tile's GEMM then
-        runs :func:`~repro.kernels.matmul_tiled.tiled_matmul` over the
-        canonical tile list, so its result bytes are identical to the
-        separate path for *every* plan tile geometry.  Multi-tile fused
-        plans own their geometry and ignore it (the documented byte
-        change, exactly like changing ``gemm_tile`` itself).
+        degenerate single-fused-tile mode: the products then run
+        :func:`~repro.kernels.matmul_tiled.tiled_matmul` over the canonical
+        tile list, so result bytes are identical to the separate path for
+        *every* plan tile geometry.  Multi-tile fused plans own their
+        geometry and ignore it (the documented byte change, exactly like
+        changing ``gemm_tile`` itself).
     pool:
         Optional :class:`~repro.engine.plan.WorkspacePool` for tile
-        staging buffers — the same staging :func:`tiled_matmul` performs,
-        so result bytes stay reconcilable.
+        staging buffers.
     executor:
         Optional ``concurrent.futures``-style executor.  When given, the
-        next tile's GEMM is speculatively submitted while the current
+        next tile's GEMMs are speculatively submitted while the current
         tile is being checked (one-tile lookahead); tile writes are
         disjoint so the bytes are unchanged, and check order — hence
         abort order — stays serial.
@@ -212,8 +163,9 @@ def online_fused_matmul(
         persistent and aborting.
     inject_hook:
         ``(tile_index, attempt, tile_view) -> None`` called after each
-        tile GEMM (and after each recompute, with the attempt number
-        incremented) — the fault-campaign / chaos injection seam.
+        tile's GEMMs (and after each recompute, with the attempt number
+        incremented) with the tile's view of ``C`` — the fault-campaign /
+        chaos injection seam.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError("online_fused_matmul operands must be 2-D matrices")
@@ -221,16 +173,14 @@ def online_fused_matmul(
         raise ShapeError(
             f"inner dimensions disagree: A is {a.shape}, B is {b.shape}"
         )
-    m_enc, q_enc = a.shape[0], b.shape[1]
-    if m_enc != row_layout.encoded_rows or q_enc != col_layout.encoded_rows:
+    m, q = a.shape[0], b.shape[1]
+    bs_r, bs_c = row_layout.block_size, col_layout.block_size
+    if -(-m // bs_r) != row_layout.num_blocks or -(-q // bs_c) != col_layout.num_blocks:
         raise ShapeError(
-            f"encoded result {m_enc}x{q_enc} does not match layouts "
-            f"({row_layout.encoded_rows} x {col_layout.encoded_rows})"
+            f"result {m}x{q} does not match layouts "
+            f"({row_layout.data_rows} x {col_layout.data_rows})"
         )
-    if out is None:
-        out = np.empty((m_enc, q_enc), dtype=np.result_type(a, b))
-    elif out.shape != (m_enc, q_enc):
-        raise ShapeError(f"out has shape {out.shape}, expected {(m_enc, q_enc)}")
+    m_enc, q_enc = row_layout.encoded_rows, col_layout.encoded_rows
     if col_eps.shape != (row_layout.num_blocks, q_enc):
         raise ShapeError(
             f"col_eps has shape {col_eps.shape}, expected "
@@ -243,39 +193,85 @@ def online_fused_matmul(
         )
 
     tiles = plan_fused_tiles(row_layout, col_layout, tile_blocks)
+    dtype = np.result_type(a, b)
+    if len(tiles) == 1:
+        # Degenerate mode: the separate path's exact GEMMs (canonical tile
+        # list, same staging) — bitwise identical bytes.
+        def gemm(x, y):
+            return tiled_matmul(x, y, tile=gemm_tile, pool=pool, executor=executor)
+
+        products = None
+    else:
+        products = SideProducts(
+            c=np.empty((m, q), dtype=dtype),
+            r=np.empty((ea.shape[0], q), dtype=dtype),
+            k=np.empty((m, eb.shape[1]), dtype=dtype),
+            x=np.empty((ea.shape[0], eb.shape[1]), dtype=dtype),
+        )
     outcome = OnlineFusedOutcome(
-        out=out,
+        products=products,
         col_disc=np.empty((row_layout.num_blocks, q_enc)),
         row_disc=np.empty((m_enc, col_layout.num_blocks)),
         tiles=tiles,
         tiles_total=len(tiles),
     )
+    s_r, s_c = row_layout.stride, col_layout.stride
 
     def run_gemm_tile(bounds: tuple[int, int, int, int]):
-        """Compute one tile; returns ``(hot, buf)``.
+        """Compute one tile's products; returns ``(hot, buf)``.
 
-        ``hot`` is a contiguous array holding the tile's bytes — the
-        staging buffer while it is still cache-hot from the GEMM, which
-        is what makes the in-loop check cheaper than the separate
-        path's strided full-matrix passes.  ``buf`` is the pool buffer
-        to recycle once the tile is checked (``None`` without staging).
+        ``hot`` holds the tile's ``C`` bytes — the staging buffer while it
+        is still cache-hot from the GEMM, which is what makes the in-loop
+        check cheaper than the separate path's full-matrix passes.
+        ``buf`` is the pool buffer to recycle once the tile is checked
+        (``None`` without staging).
         """
-        i0, i1, j0, j1 = bounds
-        dst = out[i0:i1, j0:j1]
         if len(tiles) == 1:
-            # Degenerate mode: the separate path's exact GEMM (canonical
-            # tile list, same staging) — bitwise identical bytes.
-            tiled_matmul(
-                a, b, tile=gemm_tile, out=out, pool=pool, executor=executor
-            )
-            return out, None
+            outcome.products = side_products(a, ea, b, eb, gemm)
+            return outcome.products.c, None
+        br0, br1, bc0, bc1 = bounds
+        rows = slice(br0 * bs_r, min(br1 * bs_r, m))
+        cols = slice(bc0 * bs_c, min(bc1 * bs_c, q))
+        sp = products
+        np.matmul(ea[br0:br1], b[:, cols], out=sp.r[br0:br1, cols])
+        np.matmul(a[rows], eb[:, bc0:bc1], out=sp.k[rows, bc0:bc1])
+        np.matmul(ea[br0:br1], eb[:, bc0:bc1], out=sp.x[br0:br1, bc0:bc1])
+        dst = sp.c[rows, cols]
         if pool is not None:
-            buf = pool.take((i1 - i0, j1 - j0), out.dtype)
-            np.matmul(a[i0:i1, :], b[:, j0:j1], out=buf)
+            buf = pool.take(dst.shape, dtype)
+            np.matmul(a[rows], b[:, cols], out=buf)
             dst[...] = buf
             return buf, buf
-        np.matmul(a[i0:i1, :], b[:, j0:j1], out=dst)
+        np.matmul(a[rows], b[:, cols], out=dst)
         return dst, None
+
+    def tile_bad(hot: np.ndarray, bounds: tuple[int, int, int, int]) -> bool:
+        """Check one tile; record its grid slices; report failure."""
+        br0, br1, bc0, bc1 = bounds
+        sp = outcome.products
+        rows = slice(br0 * bs_r, br0 * bs_r + hot.shape[0])
+        cols = slice(bc0 * bs_c, bc0 * bs_c + hot.shape[1])
+        tile = SideProducts(
+            c=hot,
+            r=sp.r[br0:br1, cols],
+            k=sp.k[rows, bc0:bc1],
+            x=sp.x[br0:br1, bc0:bc1],
+        )
+        enc_rows = slice(br0 * s_r, br1 * s_r)
+        enc_cols = slice(bc0 * s_c, bc1 * s_c)
+        cd, rd = side_discrepancies(
+            tile,
+            PartitionedLayout((br1 - br0) * bs_r, bs_r),
+            PartitionedLayout((bc1 - bc0) * bs_c, bs_c),
+            col_out=outcome.col_disc[br0:br1, enc_cols],
+            row_out=outcome.row_disc[enc_rows, bc0:bc1],
+        )
+        ce = col_eps[br0:br1, enc_cols]
+        re = row_eps[enc_rows, bc0:bc1]
+        return bool(
+            ((cd > ce) | ~np.isfinite(cd)).any()
+            or ((rd > re) | ~np.isfinite(rd)).any()
+        )
 
     aborted = False
     lookahead = None  # (index, future) of the speculatively running tile
@@ -295,19 +291,19 @@ def online_fused_matmul(
                 idx + 1, executor.submit(run_gemm_tile, tiles[idx + 1])
             )
 
-        i0, i1, j0, j1 = bounds
         attempt = 0
         while True:
             if inject_hook is not None:
                 # Faults are injected into the result view, so the check
                 # must read the result view too, not the staging copy.
-                inject_hook(idx, attempt, out[i0:i1, j0:j1])
-                hot = out[i0:i1, j0:j1]
+                br0, _br1, bc0, _bc1 = bounds
+                hot = outcome.products.c[
+                    br0 * bs_r : br0 * bs_r + hot.shape[0],
+                    bc0 * bs_c : bc0 * bs_c + hot.shape[1],
+                ]
+                inject_hook(idx, attempt, hot)
             t0 = time.perf_counter()
-            bad = _tile_bad(
-                hot, bounds, row_layout, col_layout,
-                col_eps, row_eps, outcome.col_disc, outcome.row_disc,
-            )
+            bad = tile_bad(hot, bounds)
             outcome.check_seconds += time.perf_counter() - t0
             if not bad or not abort_on_failure:
                 break

@@ -12,12 +12,12 @@ Two properties the serving and campaign layers build on:
 * **Encoding reuse** — when layer ``k`` ran protected and clean, its
   activation is the identity, both layers share block size and compute
   dtype, and neither stores in low precision, the checksum rows of layer
-  ``k``'s verified result are themselves a valid column-checksum encoding
-  of layer ``k+1``'s input (checksums are linear maps, and the paper's
-  tolerance verified them).  The runner then slices the previous
-  ``c_fc`` into an A-side :class:`~repro.engine.engine.EncodedOperand` —
-  recomputing only the cheap top-p/norm preprocessing — and skips the
-  encode pass entirely.
+  ``k``'s verified result (the side product ``R``) are themselves a valid
+  column-checksum encoding of layer ``k+1``'s input (checksums are linear
+  maps, and the paper's tolerance verified them).  The runner then wraps
+  the previous ``(c, R)`` into an A-side
+  :class:`~repro.engine.engine.EncodedOperand` — recomputing only the
+  cheap top-p/norm preprocessing — and skips the checksum pass.
 * **Named-layer fault injection** — :class:`ModelInjection` flips one bit
   of the named layer's result through the engine's chaos-hook seam (or
   directly, for unchecked layers), firing exactly once; per-layer
@@ -27,14 +27,18 @@ Two properties the serving and campaign layers build on:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..abft.encoding import PartitionedLayout, strip_data_columns
-from ..bounds.upper_bound import top_p_arrays
+from ..abft.encoding import PartitionedLayout
 from ..engine.config import AbftConfig
-from ..engine.engine import EncodedOperand, MatmulEngine, default_engine
+from ..engine.engine import (
+    EncodedOperand,
+    MatmulEngine,
+    default_engine,
+    encode_operand,
+)
 from ..engine.policy import ExecutionPolicy
 from ..errors import ConfigurationError
 from ..fp.constants import format_for_dtype, format_for_name
@@ -444,9 +448,7 @@ class ModelRunner:
         a_operand = x
         if (
             prev_reusable is not None
-            and prev_reusable.array.shape == (
-                prev_reusable.layout.encoded_rows, layer.d_in,
-            )
+            and prev_reusable.shape == (model.batch, layer.d_in)
             and prev_reusable.config.block_size == cfg.block_size
             and prev_reusable.dtype == compute
             and not layer.is_low_precision
@@ -561,74 +563,30 @@ def _verify_tolerance(model: ModelSpec, ref: np.ndarray) -> float:
 
 
 def _reusable_from_result(result, layer, cfg, batch: int) -> EncodedOperand:
-    """Slice a verified result into next layer's A-side encoded operand.
+    """The next layer's A-side handle from a verified result: ``(c, R)``.
 
-    The checksum *rows* of ``c_fc`` propagate (column checksums are linear
-    in the data rows and the check just verified them within tolerance);
-    checksum columns and column padding are dropped, and the scheme
-    preprocessing (top-p / norms) is recomputed on the slice — it depends
-    on the checked layer's values, not the original operand's.  ``shape``
-    and ``padding`` record the *true* batch so the next layer's strip
-    removes the same zero rows this layer's encode added.
+    ``R`` — the checksum rows the side-product multiply computed — is a
+    valid block-checksum matrix of ``c`` (column checksums are linear in
+    the data rows and the check just verified them within tolerance), so
+    the next layer skips re-summing its input.  The scheme preprocessing
+    (top-p / norms) is recomputed, because it depends on the checked
+    layer's values, not the original operand's.
     """
-    sliced = strip_data_columns(result.c_fc, result.col_layout)
-    d_out = layer.d_out
-    if sliced.shape[1] != d_out:
-        sliced = np.ascontiguousarray(sliced[:, :d_out])
-    top_values = top_indices = norms = None
-    if cfg.scheme == "aabft":
-        top_values, top_indices = top_p_arrays(sliced, cfg.p, axis=1)
-    elif cfg.scheme in ("sea", "adaptive"):
-        norms = np.linalg.norm(sliced, axis=1)
-    return EncodedOperand(
-        side="a",
-        array=sliced,
-        layout=result.row_layout,
-        shape=(batch, d_out),
-        padding=result.row_layout.data_rows - batch,
-        config=cfg,
-        top_values=top_values,
-        top_indices=top_indices,
-        norms=norms,
-    )
+    sp = result.products
+    return encode_operand(sp.c, "a", cfg, checksums=sp.r)
 
 
 def _rebuild_handle(handle: EncodedOperand, cfg: AbftConfig) -> EncodedOperand:
     """Adapt a reusable handle to the next layer's config.
 
-    The encoded bytes only depend on the block size (already matched);
-    the scheme preprocessing must match the *next* layer's scheme, so it
-    is recomputed here when the schemes differ.
+    The checksums only depend on the block size (already matched); the
+    scheme preprocessing must match the *next* layer's scheme, so it is
+    recomputed here when the schemes differ.
     """
     if handle.config.scheme == cfg.scheme and (
         cfg.scheme != "aabft" or handle.config.p == cfg.p
     ):
         if handle.config == cfg:
             return handle
-        return EncodedOperand(
-            side="a",
-            array=handle.array,
-            layout=handle.layout,
-            shape=handle.shape,
-            padding=handle.padding,
-            config=cfg,
-            top_values=handle.top_values,
-            top_indices=handle.top_indices,
-            norms=handle.norms,
-        )
-    top_values = top_indices = norms = None
-    if cfg.scheme == "aabft":
-        top_values, top_indices = top_p_arrays(handle.array, cfg.p, axis=1)
-    elif cfg.scheme in ("sea", "adaptive"):
-        norms = np.linalg.norm(handle.array, axis=1)
-    return EncodedOperand(
-        side="a",
-        array=handle.array,
-        layout=handle.layout,
-        shape=handle.shape,
-        padding=handle.padding,
-        config=cfg,
-        top_values=top_values,
-        top_indices=top_indices,
-        norms=norms,
-    )
+        return replace(handle, config=cfg)
+    return encode_operand(handle.data, "a", cfg, checksums=handle.checksums)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..abft.correction import correct_single_error
-from ..abft.encoding import strip_data_columns, strip_data_rows, strip_encoding
+from ..abft.encoding import strip_encoding
 from ..engine.config import AbftConfig
 from ..engine.engine import EncodedOperand, MatmulEngine, _operand_dtype
 from ..errors import ConfigurationError, CorrectionError
@@ -82,19 +82,10 @@ def _operand_shape(operand) -> tuple[int, int]:
 
 
 def _raw_operand(operand) -> np.ndarray:
-    """The un-encoded data of an operand (for the unchecked rung).
-
-    Uses the block-view strips instead of fancy-index gathers — under
-    deadline pressure this path runs once per degraded request, so it
-    should not cost more than the multiply it feeds.
-    """
-    if not isinstance(operand, EncodedOperand):
-        return np.asarray(operand)
-    if operand.side == "a":
-        data = strip_data_rows(operand.array, operand.layout)
-        return data[: operand.shape[0], :]
-    data = strip_data_columns(operand.array, operand.layout)
-    return data[:, : operand.shape[1]]
+    """The un-encoded data of an operand (for the unchecked rung)."""
+    if isinstance(operand, EncodedOperand):
+        return operand.data
+    return np.asarray(operand)
 
 
 class MatmulServer:

@@ -10,13 +10,17 @@ from repro.abft.encoding import (
     encode_partitioned_columns,
     encode_partitioned_rows,
     pad_to_block_multiple,
-    strip_encoding,
 )
 from repro.abft.providers import AABFTEpsilonProvider
 from repro.bounds.probabilistic import ProbabilisticBound
 from repro.bounds.upper_bound import top_p_of_columns, top_p_of_rows
 from repro.engine import AbftConfig, ExecutionPolicy, MatmulEngine
 from repro.fp.constants import format_for_dtype
+from repro.kernels.sideproduct import (
+    assemble_full_checksum,
+    block_checksums,
+    side_products,
+)
 from repro.telemetry import MetricsRegistry
 
 
@@ -29,11 +33,20 @@ def reference_matmul(a, b, block_size=32, p=2):
     """The pre-engine per-call path, re-derived from the primitives."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    a_pad, (rows_added, _) = pad_to_block_multiple(a, block_size, axis=0)
-    b_pad, (_, cols_added) = pad_to_block_multiple(b, block_size, axis=1)
+    a_pad, _ = pad_to_block_multiple(a, block_size, axis=0)
+    b_pad, _ = pad_to_block_multiple(b, block_size, axis=1)
     a_cc, row_layout = encode_partitioned_columns(a_pad, block_size)
     b_rc, col_layout = encode_partitioned_rows(b_pad, block_size)
-    c_fc = a_cc @ b_rc
+    # The side-product definition: the raw product plus thin checksum
+    # GEMMs, assembled into the full-checksum layout.
+    products = side_products(
+        a,
+        block_checksums(a, "a", block_size),
+        b,
+        block_checksums(b, "b", block_size),
+        np.matmul,
+    )
+    c_fc = assemble_full_checksum(products, row_layout, col_layout)
     provider = AABFTEpsilonProvider(
         scheme=ProbabilisticBound(
             omega=3.0, fma=False, fmt=format_for_dtype(c_fc.dtype)
@@ -45,7 +58,7 @@ def reference_matmul(a, b, block_size=32, p=2):
         inner_dim=a_pad.shape[1],
     )
     report = check_partitioned(c_fc, row_layout, col_layout, provider)
-    return strip_encoding(c_fc, row_layout, col_layout, rows_added, cols_added), report
+    return products.c, report
 
 
 class TestStatsEquivalence:

@@ -85,9 +85,8 @@ class TestFusedEncodeBitwise:
         a = rng.uniform(-1, 1, (96, 40))
         cold = fused_encode(a, "a", 32, p=2)
         warm = fused_encode(a, "a", 32, p=2, pool=pool)
-        pool.give(warm.encoded)
         again = fused_encode(a, "a", 32, p=2, pool=pool)
-        assert again.encoded is warm.encoded  # the pool recycled the buffer
+        assert pool.hits > 0  # the pool recycled the top-p workspace
         for res in (warm, again):
             assert np.array_equal(res.encoded, cold.encoded)
             assert np.array_equal(res.top_values, cold.top_values)

@@ -4,8 +4,8 @@ Bitwise reconciliation is the load-bearing property: whatever the fused
 tile geometry, the in-loop discrepancy grids must be byte-for-byte what
 :func:`~repro.abft.checking.column_discrepancies` /
 :func:`~repro.abft.checking.row_discrepancies` compute over the fused
-result's own bytes, and the degenerate single-tile mode must reproduce
-the separate path's result bytes exactly.  The fault campaign then
+side products' own assembled full-checksum matrix, and the degenerate
+single-tile mode must reproduce the separate path's products exactly.  The fault campaign then
 asserts tile-granular behaviour: a flipped tile is named precisely, only
 it is recomputed, and a persistent flip aborts the scan early.
 """
@@ -20,22 +20,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.abft.checking import column_discrepancies, row_discrepancies
-from repro.abft.encoding import (
-    encode_partitioned_columns,
-    encode_partitioned_rows,
-)
+from repro.abft.encoding import PartitionedLayout
 from repro.engine.plan import WorkspacePool
 from repro.errors import ShapeError
 from repro.kernels.online_fused import online_fused_matmul, plan_fused_tiles
+from repro.kernels.sideproduct import (
+    assemble_full_checksum,
+    block_checksums,
+    side_discrepancies,
+    side_products,
+)
 
 
 def encoded_problem(m, n, q, bs, dtype=np.float64, seed=0):
+    """Raw operands, their block checksums and the result layouts."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1, 1, (m, n)).astype(dtype)
     b = rng.uniform(-1, 1, (n, q)).astype(dtype)
-    a_cc, row_layout = encode_partitioned_columns(a, bs)
-    b_rc, col_layout = encode_partitioned_rows(b, bs)
-    return a_cc, b_rc, row_layout, col_layout
+    row_layout = PartitionedLayout(m + (-m) % bs, bs)
+    col_layout = PartitionedLayout(q + (-q) % bs, bs)
+    return (
+        (a, block_checksums(a, "a", bs), b, block_checksums(b, "b", bs)),
+        row_layout,
+        col_layout,
+    )
 
 
 def inf_grids(row_layout, col_layout):
@@ -48,23 +56,22 @@ def inf_grids(row_layout, col_layout):
     return col_eps, row_eps
 
 
-def tight_grids(a_cc, b_rc, row_layout, col_layout, margin=10.0):
+def tight_grids(ops, row_layout, col_layout, margin=10.0):
     """Tolerances hugging the clean rounding noise: any flip must trip."""
-    c = a_cc @ b_rc
-    col_eps = column_discrepancies(c, row_layout) * margin + 1e-12
-    row_eps = row_discrepancies(c, col_layout) * margin + 1e-12
-    return col_eps, row_eps
+    sp = side_products(*ops, np.matmul)
+    col_disc, row_disc = side_discrepancies(sp, row_layout, col_layout)
+    return col_disc * margin + 1e-12, row_disc * margin + 1e-12
 
 
 class TestPlanFusedTiles:
     def test_none_is_the_single_full_tile(self):
-        _, _, rl, cl = encoded_problem(12, 10, 8, 4)
+        _, rl, cl = encoded_problem(12, 10, 8, 4)
         assert plan_fused_tiles(rl, cl, None) == [
-            (0, rl.encoded_rows, 0, cl.encoded_rows)
+            (0, rl.num_blocks, 0, cl.num_blocks)
         ]
 
     def test_non_positive_tile_blocks_rejected(self):
-        _, _, rl, cl = encoded_problem(12, 10, 8, 4)
+        _, rl, cl = encoded_problem(12, 10, 8, 4)
         with pytest.raises(ValueError):
             plan_fused_tiles(rl, cl, 0)
 
@@ -78,16 +85,13 @@ class TestPlanFusedTiles:
     def test_tiles_cover_whole_blocks_disjointly(
         self, row_blocks, col_blocks, bs, tb
     ):
-        _, _, rl, cl = encoded_problem(
-            row_blocks * bs, 5, col_blocks * bs, bs
-        )
+        _, rl, cl = encoded_problem(row_blocks * bs, 5, col_blocks * bs, bs)
         tiles = plan_fused_tiles(rl, cl, tb)
-        covered = np.zeros((rl.encoded_rows, cl.encoded_rows), dtype=int)
+        # Tiles are whole-block ranges, so clipped edge tiles still check
+        # complete checksum groups; together they cover every block once.
+        covered = np.zeros((rl.num_blocks, cl.num_blocks), dtype=int)
         for i0, i1, j0, j1 in tiles:
-            # Stride-aligned: every tile spans whole encoded blocks, so
-            # clipped edge tiles still check complete checksum groups.
-            assert i0 % rl.stride == 0 and j0 % cl.stride == 0
-            assert i1 % rl.stride == 0 and j1 % cl.stride == 0
+            assert i1 - i0 <= tb and j1 - j0 <= tb
             covered[i0:i1, j0:j1] += 1
         assert (covered == 1).all()
 
@@ -105,12 +109,12 @@ class TestBitwiseReconciliation:
     def test_grids_match_the_full_matrix_oracles(
         self, row_blocks, col_blocks, bs, tb, dtype, pooled
     ):
-        a_cc, b_rc, rl, cl = encoded_problem(
-            row_blocks * bs, 6, col_blocks * bs, bs, dtype=dtype
+        ops, rl, cl = encoded_problem(
+            row_blocks * bs - 1, 6, col_blocks * bs, bs, dtype=dtype
         )
         col_eps, row_eps = inf_grids(rl, cl)
         outcome = online_fused_matmul(
-            a_cc, b_rc,
+            *ops,
             row_layout=rl, col_layout=cl,
             col_eps=col_eps, row_eps=row_eps,
             tile_blocks=tb,
@@ -118,74 +122,79 @@ class TestBitwiseReconciliation:
         )
         assert outcome.clean
         assert outcome.tiles_checked == outcome.tiles_total
-        assert np.array_equal(
-            outcome.col_disc, column_discrepancies(outcome.out, rl)
-        )
-        assert np.array_equal(
-            outcome.row_disc, row_discrepancies(outcome.out, cl)
-        )
+        c_fc = assemble_full_checksum(outcome.products, rl, cl)
+        assert np.array_equal(outcome.col_disc, column_discrepancies(c_fc, rl))
+        assert np.array_equal(outcome.row_disc, row_discrepancies(c_fc, cl))
         if tb is None:
-            # Degenerate mode: the separate path's exact result bytes.
-            assert np.array_equal(outcome.out, a_cc @ b_rc)
+            # Degenerate mode: the separate path's exact product bytes.
+            ref = side_products(*ops, np.matmul)
+            for name in "crkx":
+                assert np.array_equal(
+                    getattr(outcome.products, name), getattr(ref, name)
+                )
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_lookahead_executor_is_bitwise_neutral(self, dtype):
-        a_cc, b_rc, rl, cl = encoded_problem(20, 9, 15, 5, dtype=dtype)
+        ops, rl, cl = encoded_problem(20, 9, 15, 5, dtype=dtype)
         col_eps, row_eps = inf_grids(rl, cl)
         kwargs = dict(
             row_layout=rl, col_layout=cl,
             col_eps=col_eps, row_eps=row_eps, tile_blocks=2,
         )
-        serial = online_fused_matmul(a_cc, b_rc, **kwargs)
+        serial = online_fused_matmul(*ops, **kwargs)
         with ThreadPoolExecutor(max_workers=2) as executor:
-            parallel = online_fused_matmul(
-                a_cc, b_rc, executor=executor, **kwargs
+            parallel = online_fused_matmul(*ops, executor=executor, **kwargs)
+        for name in "crkx":
+            assert (
+                getattr(serial.products, name).tobytes()
+                == getattr(parallel.products, name).tobytes()
             )
-        assert serial.out.tobytes() == parallel.out.tobytes()
         assert np.array_equal(serial.col_disc, parallel.col_disc)
         assert np.array_equal(serial.row_disc, parallel.row_disc)
 
     def test_degenerate_mode_honours_the_plan_gemm_tile(self):
         from repro.kernels.matmul_tiled import tiled_matmul
 
-        a_cc, b_rc, rl, cl = encoded_problem(20, 9, 15, 5)
+        ops, rl, cl = encoded_problem(20, 9, 15, 5)
         col_eps, row_eps = inf_grids(rl, cl)
         outcome = online_fused_matmul(
-            a_cc, b_rc,
+            *ops,
             row_layout=rl, col_layout=cl,
             col_eps=col_eps, row_eps=row_eps,
             tile_blocks=None, gemm_tile=7,
         )
-        assert np.array_equal(outcome.out, tiled_matmul(a_cc, b_rc, tile=7))
+        a, _ea, b, _eb = ops
+        assert np.array_equal(outcome.products.c, tiled_matmul(a, b, tile=7))
 
     def test_shape_validation(self):
-        a_cc, b_rc, rl, cl = encoded_problem(12, 6, 8, 4)
+        (a, ea, b, eb), rl, cl = encoded_problem(12, 6, 8, 4)
         col_eps, row_eps = inf_grids(rl, cl)
         with pytest.raises(ShapeError):
             online_fused_matmul(
-                a_cc, b_rc[:-1],
+                a, ea, b[:-1], eb[:-1],
                 row_layout=rl, col_layout=cl,
                 col_eps=col_eps, row_eps=row_eps,
             )
         with pytest.raises(ShapeError):
             online_fused_matmul(
-                a_cc, b_rc,
+                a, ea, b, eb,
                 row_layout=rl, col_layout=cl,
                 col_eps=col_eps[:, :-1], row_eps=row_eps,
             )
 
 
-def tile_reference(a_cc, b_rc, tiles):
+def tile_reference(ops, bs, tiles):
     """The fused multi-tile GEMM's own oracle: the same per-tile BLAS calls.
 
     Subdividing a BLAS call is not bitwise neutral, so the oracle for a
     multi-tile fused product is the per-tile product, not ``a @ b``.
     """
-    out = np.empty(
-        (a_cc.shape[0], b_rc.shape[1]), dtype=np.result_type(a_cc, b_rc)
-    )
+    a, _ea, b, _eb = ops
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
     for i0, i1, j0, j1 in tiles:
-        np.matmul(a_cc[i0:i1, :], b_rc[:, j0:j1], out=out[i0:i1, j0:j1])
+        rows = slice(i0 * bs, i1 * bs)
+        cols = slice(j0 * bs, j1 * bs)
+        np.matmul(a[rows], b[:, cols], out=out[rows, cols])
     return out
 
 
@@ -222,16 +231,16 @@ class TestFaultCampaign:
     def test_persistent_flip_names_the_tile_and_aborts_early(
         self, row_blocks, col_blocks, bs, tb, data
     ):
-        a_cc, b_rc, rl, cl = encoded_problem(
+        ops, rl, cl = encoded_problem(
             row_blocks * bs, 7, col_blocks * bs, bs, seed=3
         )
-        col_eps, row_eps = tight_grids(a_cc, b_rc, rl, cl)
+        col_eps, row_eps = tight_grids(ops, rl, cl)
         tiles = plan_fused_tiles(rl, cl, tb)
         target = data.draw(
             st.integers(0, len(tiles) - 1), label="target tile"
         )
         outcome = online_fused_matmul(
-            a_cc, b_rc,
+            *ops,
             row_layout=rl, col_layout=cl,
             col_eps=col_eps, row_eps=row_eps,
             tile_blocks=tb,
@@ -245,17 +254,17 @@ class TestFaultCampaign:
         # The scan stopped at the failed tile: nothing past it checked.
         assert outcome.tiles_checked == target + 1
         # The product still completed; every *other* tile is pristine.
-        reference = tile_reference(a_cc, b_rc, tiles)
+        reference = tile_reference(ops, bs, tiles)
         mask = np.ones_like(reference, dtype=bool)
         i0, i1, j0, j1 = tiles[target]
-        mask[i0:i1, j0:j1] = False
-        assert np.array_equal(outcome.out[mask], reference[mask])
+        mask[i0 * bs : i1 * bs, j0 * bs : j1 * bs] = False
+        assert np.array_equal(outcome.products.c[mask], reference[mask])
 
     def test_transient_flip_heals_via_tile_recompute(self):
-        a_cc, b_rc, rl, cl = encoded_problem(12, 7, 12, 4, seed=5)
-        col_eps, row_eps = tight_grids(a_cc, b_rc, rl, cl)
+        ops, rl, cl = encoded_problem(12, 7, 12, 4, seed=5)
+        col_eps, row_eps = tight_grids(ops, rl, cl)
         outcome = online_fused_matmul(
-            a_cc, b_rc,
+            *ops,
             row_layout=rl, col_layout=cl,
             col_eps=col_eps, row_eps=row_eps,
             tile_blocks=1,
@@ -267,15 +276,15 @@ class TestFaultCampaign:
         assert outcome.recomputed_tiles == [2]
         assert outcome.tiles_checked == outcome.tiles_total
         assert np.array_equal(
-            outcome.out,
-            tile_reference(a_cc, b_rc, plan_fused_tiles(rl, cl, 1)),
+            outcome.products.c,
+            tile_reference(ops, 4, plan_fused_tiles(rl, cl, 1)),
         )
 
     def test_abort_on_failure_false_checks_every_tile(self):
-        a_cc, b_rc, rl, cl = encoded_problem(12, 7, 12, 4, seed=5)
-        col_eps, row_eps = tight_grids(a_cc, b_rc, rl, cl)
+        ops, rl, cl = encoded_problem(12, 7, 12, 4, seed=5)
+        col_eps, row_eps = tight_grids(ops, rl, cl)
         outcome = online_fused_matmul(
-            a_cc, b_rc,
+            *ops,
             row_layout=rl, col_layout=cl,
             col_eps=col_eps, row_eps=row_eps,
             tile_blocks=1,
