@@ -166,13 +166,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  serial batch       : {batched_seconds:8.2f} s "
           f"({batched_seconds / repeats * 1e3:7.1f} ms/call)")
 
-    pipelined_seconds, pipelined_results = timed(
+    fused_seconds, fused_results = timed(
         lambda: engine.execute_batch(
-            pairs, policy=ExecutionPolicy(mode="pipelined")
+            pairs, policy=ExecutionPolicy(mode="fused")
         )
     )
-    print(f"  pipelined batch    : {pipelined_seconds:8.2f} s "
-          f"({pipelined_seconds / repeats * 1e3:7.1f} ms/call)")
+    print(f"  fused batch        : {fused_seconds:8.2f} s "
+          f"({fused_seconds / repeats * 1e3:7.1f} ms/call)")
 
     handle = engine.encode(a, side="a")
     handle_seconds, handle_results = timed(
@@ -188,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, results in (
         ("engine", engine_results),
         ("batched", batched_results),
-        ("pipelined", pipelined_results),
+        ("fused", fused_results),
         ("handle", handle_results),
     ):
         for b, ref, res in zip(bs, baseline_results, results):
@@ -238,11 +238,11 @@ def main(argv: list[str] | None = None) -> int:
         "baseline_seconds": baseline_seconds,
         "engine_seconds": engine_seconds,
         "batched_seconds": batched_seconds,
-        "pipelined_seconds": pipelined_seconds,
+        "fused_seconds": fused_seconds,
         "handle_seconds": handle_seconds,
         "speedup_engine": speedup,
         "speedup_batched": baseline_seconds / batched_seconds,
-        "speedup_pipelined": baseline_seconds / pipelined_seconds,
+        "speedup_fused": baseline_seconds / fused_seconds,
         "speedup_handle": baseline_seconds / handle_seconds,
         "engine_stats": engine.stats().as_dict(),
         "bitwise_identical": True,

@@ -5,17 +5,14 @@ The serving layer's acceptance benchmark: 256 shared-weight requests
 :class:`repro.serve.MatmulServer` at concurrency 32 must run at least 2x
 the throughput of a serial one-request-at-a-time
 :meth:`~repro.engine.MatmulEngine.matmul` loop over the same workload.
-The served measurement runs once per execution policy (fused and
-pipelined); the stage-pipelined row is primary and must additionally
-beat the barriered fused row by 1.3x on multi-CPU hosts (on a single
-CPU stage overlap cannot reliably materialise, so parity is recorded
-with a note instead of failed).  Every served result is verified
-bitwise against its serial counterpart, and the run must coalesce real
-micro-batches (max batch > 1).
+The served measurement runs through the fused batch executor (or the
+one execution policy ``--policy`` names).  Every served result is
+verified bitwise against its serial counterpart, and the run must
+coalesce real micro-batches (max batch > 1).
 
 Full baseline runs additionally measure the **cluster row**: the same
 workload at concurrency 256 through a sharded multi-process
-``ClusterFrontend`` next to a single-process pipelined server, with the
+``ClusterFrontend`` next to a single-process fused server, with the
 throughput ratio recorded in the baseline.  On multi-CPU hosts the
 cluster must win (ratio >= 1); a single-CPU host cannot materialise
 process parallelism, so parity there is recorded, not failed.
@@ -45,7 +42,6 @@ from pathlib import Path
 from repro.serve.bench import (
     CLUSTER_CONCURRENCY,
     CLUSTER_WORKERS,
-    PIPELINE_SPEEDUP_FLOOR,
     QUICK_REQUESTS,
     REQUESTS,
     SPEEDUP_FLOOR,
@@ -85,10 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--policy",
-        choices=("fused", "pipelined", "serial", "auto"),
+        choices=("fused", "serial", "auto"),
         default=None,
-        help="measure only this execution policy (default: fused AND "
-        "pipelined, pipelined primary)",
+        help="measure only this execution policy (default: fused)",
     )
     parser.add_argument(
         "--cluster-workers",
@@ -96,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="also measure an N-worker multi-process cluster against a "
-        f"single-process pipelined server at concurrency "
+        f"single-process fused server at concurrency "
         f"{CLUSTER_CONCURRENCY} (default: {CLUSTER_WORKERS} on full "
         "baseline runs, skipped in --compare smoke mode; 0 disables)",
     )
@@ -130,15 +125,13 @@ def main(argv: list[str] | None = None) -> int:
               f"({per_served:7.2f} ms/req, max batch "
               f"{row['max_batch_size']}, p50 {row['latency_p50_ms']:.1f} ms, "
               f"p99 {row['latency_p99_ms']:.1f} ms)")
-    if "bubble_fraction" in payload:
-        print(f"  pipeline bubble fraction: {payload['bubble_fraction']:.3f}")
     if "cluster" in payload:
         row = payload["cluster"]
         print(
             f"  cluster x{row['workers']} @ concurrency {row['concurrency']}: "
             f"{row['cluster_throughput_rps']:.0f} req/s vs single-process "
-            f"pipelined {row['pipelined_throughput_rps']:.0f} req/s "
-            f"({row['speedup_vs_pipelined']:.2f}x, p99 "
+            f"fused {row['fused_throughput_rps']:.0f} req/s "
+            f"({row['speedup_vs_fused']:.2f}x, p99 "
             f"{row['latency_p99_ms']:.1f} ms, {row['requeued']} requeued, "
             f"{row['host_cpus']} host cpu(s))"
         )
@@ -172,33 +165,18 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     if "cluster" in payload:
-        ratio = payload["cluster"]["speedup_vs_pipelined"]
-        print(f"  speedup (cluster vs single-process pipelined): {ratio:.2f}x")
+        ratio = payload["cluster"]["speedup_vs_fused"]
+        print(f"  speedup (cluster vs single-process fused): {ratio:.2f}x")
         if ratio < 1.0:
             msg = (
                 f"cluster throughput ratio {ratio:.2f}x below 1.0 vs the "
-                "single-process pipelined server at the same concurrency"
+                "single-process fused server at the same concurrency"
             )
             if (payload["cluster"]["host_cpus"] or 1) > 1:
                 print(f"FAIL: {msg}", file=sys.stderr)
                 return 1
             # One CPU = no process parallelism to win with; record the
             # honest parity instead of failing the whole baseline run.
-            print(f"  note: {msg} — expected on a single-CPU host")
-    if "pipelined_speedup_vs_fused" in payload:
-        ratio = payload["pipelined_speedup_vs_fused"]
-        print(f"  speedup (pipelined vs fused): {ratio:.2f}x")
-        if ratio < PIPELINE_SPEEDUP_FLOOR:
-            msg = (
-                f"pipelined below the {PIPELINE_SPEEDUP_FLOOR}x floor "
-                f"over the fused baseline"
-            )
-            if (payload.get("host_cpus") or 1) > 1:
-                print(f"FAIL: {msg}", file=sys.stderr)
-                return 1
-            # Stage overlap needs a second core to reliably materialise;
-            # on one CPU the two policies land near parity, so record the
-            # honest ratio instead of failing the baseline run.
             print(f"  note: {msg} — expected on a single-CPU host")
     return 0
 

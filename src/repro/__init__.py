@@ -79,7 +79,6 @@ from .engine import (
     EngineStats,
     ExecutionPolicy,
     MatmulEngine,
-    PipelineSchedule,
     StageCost,
     StageCosts,
     default_engine,
@@ -214,7 +213,6 @@ __all__ = [
     "NULL_REGISTRY",
     "PrometheusTextSink",
     "PipelineResult",
-    "PipelineSchedule",
     "ProbabilisticBound",
     "ProtectedResult",
     "ReproError",

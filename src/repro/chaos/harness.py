@@ -11,9 +11,9 @@ evaluates the :class:`~repro.chaos.slo.SLOSpec`.
 Injection mechanics per kind:
 
 * ``stage_stall`` sleeps inside the engine's stage-completion hook, so
-  the stall lands on whichever thread executes the stage — serial,
-  fused and pipelined paths alike — without polluting the stage timers
-  the pipeline cost model feeds on.
+  the stall lands on whichever thread executes the stage — single-call,
+  serial and fused batch paths alike — without polluting the stage
+  timers.
 * ``backend_failure`` raises :class:`InjectedFault` from the dispatch
   hook for the targeted backend and simultaneously submits probe
   requests pinned to that backend, so the window exercises the engine's
@@ -294,7 +294,7 @@ def _chaos_metrics(registry: MetricsRegistry) -> dict:
         ),
         "stall_seconds": registry.counter(
             "abft_chaos_stall_seconds_total",
-            "Injected stage-stall seconds, by pipeline stage",
+            "Injected stage-stall seconds, by engine stage",
             ("stage",),
         ),
         "skew_seconds": registry.counter(

@@ -11,10 +11,10 @@ It runs two gates and exits nonzero when either fails:
   (numpy plus every available non-numpy backend by default) so the
   detection floor holds inside backend-dispatched tile compute too;
 * **pipeline-coverage** — faults injected into results produced by the
-  stage-pipelined ``execute_batch`` executor must be detected by the
-  results' own providers at the same ``coverage_floor``: the pipelined
-  fast path shares the serial path's bytes, so its detection coverage
-  must not regress either;
+  fused ``execute_batch`` executor (one stacked GEMM per shared left
+  operand) must be detected by the results' own providers at the same
+  ``coverage_floor``: the batch path shares the serial path's bytes, so
+  its detection coverage must not regress either;
 * **fused-coverage** — faults injected *inside the fused online tile
   loop* (persistent per-tile mantissa flips through the ``tile_result``
   chaos seam) must be detected at the same ``coverage_floor`` **and**
@@ -214,17 +214,17 @@ def pipeline_coverage_gate(
     num_injections: int | None = None,
     registry: MetricsRegistry | None = None,
 ) -> GateResult:
-    """Gate detection coverage of the stage-pipelined batch executor.
+    """Gate detection coverage of the batch executor.
 
-    Runs a shared-weight batch through ``execute_batch`` under
-    ``ExecutionPolicy(mode="pipelined")``, then injects single-bit
-    mantissa flips into copies of the full-checksum results and re-checks
-    each with the result's *own* provider (the tolerances the pipelined
-    path computed).  Injections whose induced element error is critical
-    under the probabilistic rounding-error model must be detected at
-    ``floor`` — the same bar the serial campaign is held to — and the
-    fault-free batch must be clean.  Fails loudly if the batch did not
-    actually run pipelined (a silent fallback would gate nothing).
+    Runs a shared-weight batch through ``execute_batch`` under the
+    default ``ExecutionPolicy()``, then injects single-bit mantissa flips
+    into copies of the full-checksum results and re-checks each with the
+    result's *own* provider (the tolerances the batch path computed).
+    Injections whose induced element error is critical under the
+    probabilistic rounding-error model must be detected at ``floor`` —
+    the same bar the serial campaign is held to — and the fault-free batch
+    must be clean.  Fails loudly if the batch did not actually run through
+    the fused executor (a silent fallback would gate nothing).
     """
     from .abft.checking import check_partitioned
     from .abft.classify import ErrorClassifier
@@ -250,13 +250,12 @@ def pipeline_coverage_gate(
     ):
         with MatmulEngine(config) as engine:
             results = engine.execute_batch(
-                [(a, b) for b in bs],
-                policy=ExecutionPolicy(mode="pipelined"),
+                [(a, b) for b in bs], policy=ExecutionPolicy()
             )
             modes = engine.registry.counter(
                 "abft_engine_execute_batch_total", labelnames=("mode",)
             )
-            pipelined_ran = modes.labels(mode="pipelined").get() >= 1.0
+            fused_ran = modes.labels(mode="fused").get() >= 1.0
         baseline_clean = all(not r.detected for r in results)
 
         classifier = ErrorClassifier(omega=config.omega)
@@ -303,17 +302,15 @@ def pipeline_coverage_gate(
     gauges.labels(quantity="baseline_clean").set(
         1.0 if baseline_clean else 0.0
     )
-    gauges.labels(quantity="pipelined_ran").set(1.0 if pipelined_ran else 0.0)
+    gauges.labels(quantity="fused_ran").set(1.0 if fused_ran else 0.0)
 
-    passed = (
-        baseline_clean and pipelined_ran and critical > 0 and rate >= floor
-    )
+    passed = baseline_clean and fused_ran and critical > 0 and rate >= floor
     detail = (
-        f"pipelined batch detected {rate:.1%} of {critical} critical "
+        f"fused batch detected {rate:.1%} of {critical} critical "
         f"errors (floor {floor:.1%}, {num_injections} injections at "
         f"n={n}, batch {batch}, "
         f"fault-free batch {'clean' if baseline_clean else 'FLAGGED'}"
-        f"{'' if pipelined_ran else ', did NOT run pipelined'})"
+        f"{'' if fused_ran else ', did NOT run fused'})"
     )
     return GateResult(
         gate="pipeline-coverage", passed=passed, measured=rate,

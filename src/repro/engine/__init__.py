@@ -13,9 +13,10 @@ that behind a session object:
   config)`` with LRU eviction, encodes operands once for reuse
   (:meth:`MatmulEngine.encode`), runs batches of pairs under one
   declarative :class:`ExecutionPolicy`
-  (:meth:`MatmulEngine.execute_batch`: serial thread fan-out, the fused
-  single-pass pipeline, or the stage-pipelined chunk executor) and
-  publishes counters (:meth:`MatmulEngine.stats`);
+  (:meth:`MatmulEngine.execute_batch`: serial thread fan-out, or the
+  fused executor that multiplies a shared left operand against all its
+  right operands in one stacked GEMM) and publishes counters
+  (:meth:`MatmulEngine.stats`);
 * :func:`default_engine` — the lazily created module-level engine the
   classic matmul functions route through, so even legacy call sites
   benefit from plan caching.
@@ -36,7 +37,6 @@ Example
 
 from .config import SCHEMES, AbftConfig
 from .engine import EncodedOperand, MatmulEngine, default_engine
-from .pipeline import PipelineSchedule, pipeline_supported, plan_schedule
 from .plan import ExecutionPlan, PlanCache, build_plan
 from .policy import EXECUTION_MODES, ExecutionPolicy
 from .stats import EngineStats, StageCost, StageCosts
@@ -52,10 +52,7 @@ __all__ = [
     "ExecutionPlan",
     "ExecutionPolicy",
     "EXECUTION_MODES",
-    "PipelineSchedule",
     "PlanCache",
     "build_plan",
     "default_engine",
-    "pipeline_supported",
-    "plan_schedule",
 ]

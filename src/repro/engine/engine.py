@@ -18,13 +18,11 @@ scratch:
   vectorised provider paths (bitwise equal to the scalar per-comparison
   loop, an order of magnitude faster);
 * **batching** — :meth:`MatmulEngine.execute_batch` runs a list of operand
-  pairs under one :class:`~repro.engine.policy.ExecutionPolicy`: ``serial``
-  fans pairs across a thread pool, ``fused`` runs the vectorised
-  single-pass batch pipeline, ``pipelined`` runs the chunked stage-slot
-  executor (:mod:`repro.engine.pipeline`), and ``auto`` (the default)
-  picks the strongest mode the batch supports.  The legacy
-  ``matmul_many``/``matmul_fused`` entry points remain as deprecation
-  shims over it.
+  pairs under one :class:`~repro.engine.policy.ExecutionPolicy`: ``fused``
+  (:mod:`repro.engine.fused`) multiplies each shared left operand against
+  all its right operands in one stacked GEMM plus thin checksum products,
+  ``serial`` fans pairs across a thread pool, and ``auto`` (the default)
+  picks ``fused`` whenever the batch supports it.
 
 All of the above is metered through a :class:`~repro.telemetry.
 MetricsRegistry` (``abft_engine_*`` counters, gauges and stage histograms);
@@ -37,7 +35,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -296,7 +293,7 @@ class MatmulEngine:
     are lock-protected, and result objects are independent.
     """
 
-    #: The three instrumented pipeline stages.
+    #: The three instrumented stages.
     STAGES = ("encode", "multiply", "check")
 
     def __init__(
@@ -346,12 +343,12 @@ class MatmulEngine:
         )
         stage_seconds = reg.counter(
             "abft_engine_stage_seconds_total",
-            "Accumulated wall seconds per pipeline stage",
+            "Accumulated wall seconds per engine stage",
             ("stage",),
         )
         stage_hist = reg.histogram(
             "abft_engine_stage_seconds",
-            "Per-call wall seconds of each pipeline stage",
+            "Per-call wall seconds of each engine stage",
             ("stage",),
         )
         self._m_stage = {s: stage_seconds.labels(stage=s) for s in self.STAGES}
@@ -381,14 +378,6 @@ class MatmulEngine:
             "Never-silent fallbacks to the numpy backend",
             ("backend", "reason"),
         )
-        self._m_pipe_batches = reg.counter(
-            "abft_pipeline_batches_total",
-            "Batches executed by the stage-pipelined executor",
-        )
-        self._m_pipe_chunks = reg.counter(
-            "abft_pipeline_chunks_total",
-            "Chunks executed by the stage-pipelined executor",
-        )
         self._m_pipe_fallbacks = reg.counter(
             "abft_pipeline_fallbacks_total",
             "Batched execution-mode fallbacks by reason (never silent)",
@@ -416,29 +405,8 @@ class MatmulEngine:
             "Never-silent fused-online fallbacks to the separate path",
             ("reason",),
         )
-        pipe_busy = reg.counter(
-            "abft_pipeline_stage_busy_seconds_total",
-            "Busy wall seconds accumulated per pipeline stage lane",
-            ("stage",),
-        )
-        self._m_pipe_busy = {
-            s: pipe_busy.labels(stage=s) for s in self.STAGES
-        }
-        self._g_pipe_bubble = reg.gauge(
-            "abft_pipeline_bubble_fraction",
-            "Bubble fraction of the last pipelined batch "
-            "(1 - busy / (3 * wall))",
-        )
-        pipe_occupancy = reg.gauge(
-            "abft_pipeline_stage_occupancy",
-            "Stage busy fraction of the wall time of the last pipelined batch",
-            ("stage",),
-        )
-        self._g_pipe_occupancy = {
-            s: pipe_occupancy.labels(stage=s) for s in self.STAGES
-        }
-        # Bitwise-probe verdicts of the pipelined executor's concatenated
-        # fast path, keyed by (plan key, chunk width).
+        # Bitwise-probe verdicts of the fused executor's stacked C GEMM,
+        # keyed by (plan key, group width).
         self._stacked_ok: dict = {}
         self._stacked_lock = threading.Lock()
         # Chaos/test seam (see set_chaos_hook); None == no instrumentation.
@@ -532,23 +500,21 @@ class MatmulEngine:
             raw matrix or an :class:`EncodedOperand` handle.
         policy:
             The :class:`~repro.engine.policy.ExecutionPolicy` selecting the
-            execution mode (``auto`` | ``serial`` | ``fused`` |
-            ``pipelined``) plus backend pin, deadline budget and pipeline
-            chunking knobs.  Defaults to ``ExecutionPolicy()`` (mode
-            ``auto``: the strongest mode whose preconditions the batch
-            meets).
+            execution mode (``auto`` | ``serial`` | ``fused``) plus backend
+            pin and fusion strategy.  Defaults to ``ExecutionPolicy()``
+            (mode ``auto``: ``fused`` whenever the batch meets its
+            preconditions).
         config:
             Overrides the engine's default :class:`AbftConfig`.
 
         Results come back in request order and are **bitwise identical**
         to sequential :meth:`matmul` calls regardless of the mode chosen —
         modes only trade scheduling overhead against amortisation.  A
-        requested batched mode whose preconditions the batch does not meet
-        falls down the chain (pipelined → fused → serial), counted in
+        requested ``fused`` mode whose preconditions the batch does not meet
+        falls back to ``serial``, counted in
         ``abft_pipeline_fallbacks_total`` — never silent.
         """
         from .fused import fused_supported, run_fused
-        from .pipeline import pipeline_supported, run_pipelined
 
         cfg = self._resolve_config(config)
         if policy is None:
@@ -584,68 +550,16 @@ class MatmulEngine:
         b_items = [b for _a, b in pairs]
 
         mode = policy.mode
-        if mode in ("auto", "pipelined"):
-            if pipeline_supported(a_items, b_items, cfg):
-                mode = "pipelined"
-            else:
-                if mode == "pipelined":
-                    self._m_pipe_fallbacks.labels(reason="unsupported").inc()
-                mode = "fused"
-        if mode == "fused" and not fused_supported(a_items, b_items, cfg):
-            if policy.mode == "fused":
+        if mode != "serial" and not fused_supported(a_items, b_items, cfg):
+            if mode == "fused":
                 self._m_pipe_fallbacks.labels(reason="unsupported").inc()
             mode = "serial"
+        elif mode == "auto":
+            mode = "fused"
         self._m_exec_mode.labels(mode=mode).inc()
-        if mode == "pipelined":
-            return run_pipelined(self, a_items, b_items, cfg, policy)
         if mode == "fused":
             return run_fused(self, a_items, b_items, cfg)
         return self._run_serial_batch(pairs, cfg)
-
-    def matmul_many(
-        self, a, b, *, config: AbftConfig | None = None
-    ) -> list[AbftResult]:
-        """Deprecated: use :meth:`execute_batch` with ``mode="serial"``.
-
-        ``a`` and ``b`` each accept a list of matrices, a stacked 3-D array,
-        a single matrix, or an :class:`EncodedOperand`; single operands are
-        broadcast against the other side's length.  This shim expands the
-        legacy operand forms and delegates to :meth:`execute_batch` under
-        ``ExecutionPolicy(mode="serial")``.
-        """
-        warnings.warn(
-            "MatmulEngine.matmul_many is deprecated; use "
-            "execute_batch(requests, policy=ExecutionPolicy(mode='serial'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute_batch(
-            _legacy_pairs(a, b),
-            policy=ExecutionPolicy(mode="serial"),
-            config=config,
-        )
-
-    def matmul_fused(
-        self, a, b, *, config: AbftConfig | None = None
-    ) -> list[AbftResult]:
-        """Deprecated: use :meth:`execute_batch` with ``mode="fused"``.
-
-        This shim expands the legacy operand forms and delegates to
-        :meth:`execute_batch` under ``ExecutionPolicy(mode="fused")``
-        (which still falls back to serial execution for batches the fused
-        preconditions reject).
-        """
-        warnings.warn(
-            "MatmulEngine.matmul_fused is deprecated; use "
-            "execute_batch(requests, policy=ExecutionPolicy(mode='fused'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute_batch(
-            _legacy_pairs(a, b),
-            policy=ExecutionPolicy(mode="fused"),
-            config=config,
-        )
 
     def autotune(
         self,
@@ -678,11 +592,10 @@ class MatmulEngine:
         ``hook(event, *, backend=None, c_fc=None)``:
 
         * ``event in ("encode", "multiply", "check")`` — fired when a
-          pipeline stage completes, on every execution path (serial,
-          fused and pipelined).  Sleeping here injects a stage stall; the
-          stall is *not* charged to the stage timers, so the pipeline
-          cost model keeps seeing real stage costs.  Stage hooks must not
-          raise.
+          stage completes, on every execution path (single call, serial
+          and fused batches).  Sleeping here injects a stage stall; the
+          stall is *not* charged to the stage timers, so the stage costs
+          keep measuring real work.  Stage hooks must not raise.
         * ``event == "dispatch"`` (``backend=<name>``) — fired just
           before the GEMM stage executes on a compute backend.  An
           exception raised here flows through the engine's never-silent
@@ -750,8 +663,7 @@ class MatmulEngine:
         """Zero the engine's metrics (cached plans are kept)."""
         for metric in (self._m_calls, self._m_batched, self._m_reuses,
                        self._m_detections, self._m_exec_mode,
-                       self._m_pipe_batches, self._m_pipe_chunks,
-                       self._m_pipe_fallbacks, self._g_pipe_bubble,
+                       self._m_pipe_fallbacks,
                        self._m_fused_calls, self._m_fused_tiles,
                        self._m_fused_aborts, self._m_fused_recomputes,
                        self._m_fused_fallbacks):
@@ -759,8 +671,6 @@ class MatmulEngine:
         for stage in self.STAGES:
             self._m_stage[stage].reset()
             self._h_stage[stage].reset()
-            self._m_pipe_busy[stage].reset()
-            self._g_pipe_occupancy[stage].reset()
         self._plans.hits = 0
         self._plans.misses = 0
         self._plans.evictions = 0
@@ -814,11 +724,11 @@ class MatmulEngine:
         hook = self._chaos_hook
         if hook is not None:
             # After the timers, so injected stalls never pollute the
-            # measured stage costs the pipeline scheduler feeds on.
+            # measured stage costs.
             hook(stage)
 
     def _stage_costs(self) -> StageCosts:
-        """The measured per-stage costs (the pipeline cost model's seed)."""
+        """The measured per-stage costs."""
         def cost(stage: str) -> StageCost:
             return StageCost(
                 seconds=self._m_stage[stage].get(),
@@ -1360,48 +1270,6 @@ def _operand_dtype(operand) -> np.dtype:
     if isinstance(operand, EncodedOperand):
         return operand.dtype
     return np.asarray(operand).dtype
-
-
-def _expand_operand(operand) -> list:
-    """Normalise a batched-operand argument to a list of single operands."""
-    if isinstance(operand, EncodedOperand):
-        return [operand]
-    if isinstance(operand, np.ndarray):
-        if operand.ndim == 3:
-            return [operand[i] for i in range(operand.shape[0])]
-        if operand.ndim == 2:
-            return [operand]
-        raise ShapeError(
-            f"batched operands must be 2-D, 3-D or lists, got shape "
-            f"{operand.shape}"
-        )
-    if isinstance(operand, (list, tuple)):
-        return list(operand)
-    return [_as_matrix(operand)]
-
-
-def _legacy_pairs(a, b) -> list[tuple]:
-    """Expand the legacy two-sided batch arguments into request pairs.
-
-    Implements the ``matmul_many``/``matmul_fused`` operand forms: lists,
-    stacked 3-D arrays, single matrices and :class:`EncodedOperand`
-    handles, with single operands broadcast against the other side's
-    length.  A broadcast raw operand repeats as the *same* object, so the
-    batched executors' id-dedup still encodes it exactly once.
-    """
-    a_items = _expand_operand(a)
-    b_items = _expand_operand(b)
-    count = max(len(a_items), len(b_items))
-    if len(a_items) not in (1, count) or len(b_items) not in (1, count):
-        raise ShapeError(
-            f"batch lengths disagree: {len(a_items)} left vs "
-            f"{len(b_items)} right operands"
-        )
-    if len(a_items) == 1:
-        a_items = a_items * count
-    if len(b_items) == 1:
-        b_items = b_items * count
-    return list(zip(a_items, b_items))
 
 
 _default_engine: MatmulEngine | None = None

@@ -1,17 +1,19 @@
-"""Fused batched execution of same-shape protected multiplications.
+"""The batch executor: same-shape protected multiplications in one pass.
 
-``execute_batch(..., policy=ExecutionPolicy(mode="fused"))`` executes a
-batch of ``(a_i, b_i)`` products whose shapes, dtypes and config all agree
-as *one* fused pipeline instead of ``k`` independent calls:
+``execute_batch`` runs a batch of ``(a_i, b_i)`` products whose shapes,
+dtypes and config all agree through this module (mode ``fused``, which
+mode ``auto`` picks whenever :func:`fused_supported` holds) instead of
+``k`` independent calls:
 
 * **operand dedup** — operands appearing in several pairs (the serving
   pattern: one weight matrix against many activations) are encoded once
   and reused everywhere; distinct raw right operands are checksummed and
   searched in one pass over their side-by-side stack;
 * **one product per shared left operand** — the pairs sharing a left
-  operand become *one* side-product call (:mod:`repro.kernels.sideproduct`)
-  over their right operands stacked side by side, and one discrepancy pass
-  over the stacked products, sliced per pair;
+  operand become *one* ``C`` GEMM over their right operands stacked side
+  by side (the stack the encode built, when it holds exactly the group),
+  plus per-pair thin checksum products (:mod:`repro.kernels.sideproduct`)
+  and one discrepancy pass over the stacked products, sliced per pair;
 * **batched tolerance grids** — upper-bound grids and epsilon arrays for
   all pairs sharing a left operand are evaluated through single
   :func:`~repro.bounds.upper_bound.upper_bound_grid_arrays` /
@@ -31,10 +33,13 @@ stacked and the per-pair path and every product and discrepancy compared
 (:func:`group_products`).  Only a byte-identical probe enables the
 stacked call for that signature; a mismatch pins it to per-pair products,
 counted in ``abft_pipeline_fallbacks_total{reason="bitwise_probe"}``.
+The thin ``R``/``K``/``X`` products stay per pair: stacked 2-D thin GEMMs
+do not slice bitwise into the per-pair ones.
 
-Batches that do not meet the fast-path preconditions (non-``aabft``
-scheme, heterogeneous shapes or dtypes) fall back to the serial
-thread-fanned path of :meth:`~repro.engine.MatmulEngine.execute_batch`.
+Batches that do not meet the preconditions (non-``aabft`` scheme, an
+explicit storage dtype, heterogeneous shapes or dtypes, fewer than two
+pairs) run on the serial thread-fanned path of
+:meth:`~repro.engine.MatmulEngine.execute_batch`.
 """
 
 from __future__ import annotations
@@ -314,7 +319,7 @@ def make_result(engine, plan, cfg, enc_a, enc_b, sp, report, backend,
 
 
 def run_fused(engine, a_items, b_items, cfg) -> list:
-    """Execute the expanded batch through the fused pipeline.
+    """Execute the expanded batch through the batch executor.
 
     Preconditions (:func:`fused_supported`) must hold.
     """
@@ -339,8 +344,8 @@ def run_fused(engine, a_items, b_items, cfg) -> list:
 
     # --- encode (deduplicated; distinct right operands stacked) ---------
     t0 = time.perf_counter()
-    enc_a = _resolve_side(engine, a_items, "a", cfg, plan, dtype)
-    enc_b = _resolve_side(engine, b_items, "b", cfg, plan, dtype)
+    enc_a, _ = _resolve_side(engine, a_items, "a", cfg, plan, dtype)
+    enc_b, stack = _resolve_side(engine, b_items, "b", cfg, plan, dtype)
     engine._add_seconds("encode", time.perf_counter() - t0)
 
     fused_online = cfg.fusion == "fused"
@@ -374,10 +379,21 @@ def run_fused(engine, a_items, b_items, cfg) -> list:
             groups.setdefault(id(ea), []).append(i)
         # --- multiply: one side-product call per shared left operand ----
         t0 = time.perf_counter()
-        products = [
-            group_products(engine, plan, enc_a[idx[0]], [enc_b[i] for i in idx])
-            for idx in groups.values()
-        ]
+        stacked_b, stack_handles = stack or (None, ())
+        products = []
+        for idx in groups.values():
+            group_b = [enc_b[i] for i in idx]
+            # The encode's stack is the group's C operand when it holds
+            # exactly the group's right operands, in order.
+            reuse = len(group_b) == len(stack_handles) and all(
+                x is y for x, y in zip(group_b, stack_handles)
+            )
+            products.append(
+                group_products(
+                    engine, plan, enc_a[idx[0]], group_b,
+                    stacked_b if reuse else None,
+                )
+            )
         engine._add_seconds("multiply", time.perf_counter() - t0)
         # --- check (tolerance grids and discrepancies batched) ----------
         t0 = time.perf_counter()
@@ -409,7 +425,9 @@ def _resolve_side(engine, items, side, cfg, plan, dtype) -> list:
     """Encoded operands for one side: dedupe, validate handles, encode.
 
     Distinct raw right operands are encoded in one pass over their stack
-    (:func:`encode_stack`).
+    (:func:`encode_stack`).  Returns ``(encoded, stack)``: one handle per
+    item, and ``(stacked, handles)`` from :func:`encode_stack` (``None``
+    when it did not run).
     """
     from .engine import EncodedOperand, encode_operand
 
@@ -428,9 +446,11 @@ def _resolve_side(engine, items, side, cfg, plan, dtype) -> list:
             raw_ids.append(key)
             raw_arrays.append(np.asarray(item).astype(dtype, copy=False))
 
+    stack = None
     if raw_arrays:
         if side == "b":
-            _stacked, handles = encode_stack(plan, cfg, raw_arrays)
+            stack = encode_stack(plan, cfg, raw_arrays)
+            handles = stack[1]
         else:
             handles = [
                 encode_operand(arr, side, cfg, pool=plan.pool)
@@ -448,7 +468,7 @@ def _resolve_side(engine, items, side, cfg, plan, dtype) -> list:
             engine._m_reuses.inc()
         seen.add(key)
         out.append(encoded[key])
-    return out
+    return out, stack
 
 
 def _batch_epsilon_grids(enc_a, enc_b, cfg, plan):

@@ -17,11 +17,10 @@ __all__ = ["EngineStats", "StageCost", "StageCosts"]
 
 @dataclass(frozen=True)
 class StageCost:
-    """Accumulated cost of one pipeline stage.
+    """Accumulated cost of one engine stage.
 
     ``seconds`` is total wall time, ``observations`` the number of timed
-    stage executions; :attr:`mean` is what the pipeline cost model
-    consumes when planning stage slots.
+    stage executions.
     """
 
     seconds: float = 0.0
@@ -37,9 +36,8 @@ class StageCost:
 class StageCosts:
     """Per-stage encode/multiply/check costs in one stable structured field.
 
-    Exposed on :attr:`EngineStats.stage_costs` so consumers (the pipeline
-    scheduler's cost model, dashboards) no longer re-derive stage means
-    from raw span histograms.
+    Exposed on :attr:`EngineStats.stage_costs` so consumers (dashboards,
+    benchmarks) need not re-derive stage means from raw span histograms.
     """
 
     encode: StageCost = field(default_factory=StageCost)
@@ -64,18 +62,16 @@ class EngineStats:
         Completed protected multiplications (batched items count once each).
     batched_calls:
         Batched submissions through
-        :meth:`~repro.engine.engine.MatmulEngine.execute_batch` (including
-        the deprecated ``matmul_many``/``matmul_fused`` shims).
+        :meth:`~repro.engine.engine.MatmulEngine.execute_batch`.
     encode_reuses:
         Operands served from a pre-encoded handle instead of re-encoding.
     detections:
         Multiplications whose check flagged at least one comparison.
     encode_seconds / multiply_seconds / check_seconds:
-        Accumulated wall time of the three pipeline stages.
+        Accumulated wall time of the three engine stages.
     stage_costs:
         The same stage wall times paired with their observation counts as
-        a structured :class:`StageCosts` (per-stage means for the pipeline
-        cost model).
+        a structured :class:`StageCosts` (per-stage means).
     """
 
     plan_hits: int = 0

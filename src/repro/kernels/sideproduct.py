@@ -25,8 +25,8 @@ Bitwise contract: the grids equal
 :func:`~repro.abft.checking.row_discrepancies` of the assembled matrix
 (:func:`assemble_full_checksum`).  Column checks sum each block's rows
 sequentially, row checks sum each block's ``BS`` columns with numpy's
-pairwise reduction over a zero-padded block, and both accumulate in
-float64 without a float64 copy of the result.
+pairwise reduction as if the block were zero-padded, and both accumulate
+in float64 without a float64 copy of the result.
 
 A *stack* of right operands of equal width ``q`` side by side (the
 shared-left batch) runs through the same functions with ``items > 1``:
@@ -90,8 +90,9 @@ def block_checksums(data: np.ndarray, side: str, block_size: int) -> np.ndarray:
     ``side="a"`` returns ``EA`` (``nb x k``): the column sums of every
     ``block_size``-row block of ``data``.  ``side="b"`` returns ``EB``
     (``k x nb``): the row sums of every ``block_size``-column block.  A
-    trailing partial block is summed as if zero-padded to a full block, so
-    every element is bitwise the checksum the interleaved encoding
+    trailing partial block is summed as if zero-padded to a full block
+    (for ``"b"`` only as far as :func:`pairwise_span` needs), so every
+    element is bitwise the checksum the interleaved encoding
     (:func:`~repro.abft.encoding.encode_partitioned_columns` /
     ``_rows`` of the padded operand) computes.
     """
@@ -118,10 +119,42 @@ def block_checksums(data: np.ndarray, side: str, block_size: int) -> np.ndarray:
             data[:, : full * bs].reshape(k, full, bs), axis=2, out=out[:, :full]
         )
     if full < nb:
-        tail = np.zeros((k, bs), dtype=data.dtype)
-        tail[:, : q - full * bs] = data[:, full * bs :]
-        np.sum(tail.reshape(k, 1, bs), axis=2, out=out[:, full:])
+        np.add.reduce(
+            _pad_tail(data[:, full * bs :], bs, data.dtype), axis=1,
+            out=out[:, full],
+        )
     return out
+
+
+def pairwise_span(width: int, block_size: int) -> int:
+    """How many terms a ``width``-term partial block is summed over.
+
+    numpy's pairwise sum adds a contiguous run in eight interleaved
+    accumulators; zeros appended past the next multiple of 8 only add 0 to
+    each of them.  So summing the partial block zero-padded to that
+    multiple groups its terms exactly as summing the whole zero-padded
+    ``block_size`` block does, and three or fewer terms add in order
+    either way.  ``TestNarrowBlockSums`` in ``tests/engine/
+    test_sideproduct.py`` pins this bitwise at every partial width.
+    """
+    if width <= 3:
+        return width
+    return min(block_size, -(-width // 8) * 8)
+
+
+def _pad_tail(x: np.ndarray, bs: int, dtype) -> np.ndarray:
+    """``x`` (the partial blocks along the last axis) padded for summing.
+
+    Returns ``x`` itself when no padding is needed, else a zero-padded
+    ``dtype`` copy spanning :func:`pairwise_span` terms.
+    """
+    width = x.shape[-1]
+    span = pairwise_span(width, bs)
+    if span == width:
+        return x
+    tail = np.zeros(x.shape[:-1] + (span,), dtype=dtype)
+    tail[..., :width] = x
+    return tail
 
 
 def side_products(
@@ -156,9 +189,10 @@ def _col_block_sums(
 ) -> None:
     """float64 sums of every ``bs``-column block of each of ``items``.
 
-    Each block reduces exactly ``bs`` contiguous terms (a trailing partial
-    block is zero-padded), so numpy's pairwise grouping is that of the
-    interleaved layout's block.  ``out`` is ``rows x (items * nb)``.
+    Each block reduces ``bs`` contiguous terms (a trailing partial block
+    only as many as :func:`pairwise_span` needs), so numpy's pairwise
+    grouping is that of the interleaved layout's block.  ``out`` is
+    ``rows x (items * nb)``.
     """
     rows = x.shape[0]
     q = x.shape[1] // items
@@ -171,9 +205,10 @@ def _col_block_sums(
             axis=3, dtype=np.float64, out=out3[:, :, :full],
         )
     if full < nb:
-        tail = np.zeros((rows, items, bs))
-        tail[:, :, : q - full * bs] = x3[:, :, full * bs :]
-        np.add.reduce(tail, axis=2, out=out3[:, :, full])
+        np.add.reduce(
+            _pad_tail(x3[:, :, full * bs :], bs, np.float64),
+            axis=2, dtype=np.float64, out=out3[:, :, full],
+        )
 
 
 def interleave_rows(

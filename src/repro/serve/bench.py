@@ -7,17 +7,16 @@ serial path re-encodes the weight on every request while the batched
 dispatch encodes it once and amortises the tolerance grids.
 
 The served measurement runs once per execution policy (by default the
-barriered ``fused`` mode and the stage-pipelined ``pipelined`` mode, both
-dispatched through ``MatmulEngine.execute_batch`` under the server's
+``fused`` batch executor alone, dispatched through
+``MatmulEngine.execute_batch`` under the server's
 :class:`~repro.engine.policy.ExecutionPolicy`).  The payload reports each
-policy row plus the pipelined-vs-fused speedup and the pipelined
-executor's bubble fraction read from ``abft_pipeline_bubble_fraction``.
+policy row; the last policy is primary.
 
 With ``cluster_workers`` set, the payload additionally carries a
 ``cluster`` section: the same workload pushed at ``cluster_concurrency``
 (default 256) through a sharded multi-process
 :class:`~repro.cluster.frontend.ClusterFrontend` next to a
-single-process pipelined server at the *same* concurrency, with the
+single-process fused server at the *same* concurrency, with the
 throughput ratio recorded.  The ratio is hardware-sensitive — the
 cluster's win comes from true process parallelism, so single-CPU hosts
 land near parity (``host_cpus`` is recorded alongside for context).
@@ -66,10 +65,8 @@ REQUESTS = 256
 QUICK_REQUESTS = 64
 CONCURRENCY = 32
 SPEEDUP_FLOOR = 2.0
-#: The pipelined policy row must beat the barriered fused row by this much.
-PIPELINE_SPEEDUP_FLOOR = 1.3
 #: Policy rows measured by default, weakest first; the last is primary.
-DEFAULT_POLICIES = ("fused", "pipelined")
+DEFAULT_POLICIES = ("fused",)
 #: Cluster section defaults: the high-concurrency regime where one
 #: process saturates and sharding should take over.
 CLUSTER_CONCURRENCY = 256
@@ -115,9 +112,6 @@ def _run_served(
                 submitted += 1
             outstanding.popleft().result(timeout=120.0)
         serve_seconds = time.perf_counter() - start
-        bubble = server.engine.registry.gauge(
-            "abft_pipeline_bubble_fraction"
-        ).get()
 
     # --- correctness: served bitwise equal to serial, fully verified ----
     max_batch = 0
@@ -141,7 +135,6 @@ def _run_served(
         "latency_p50_ms": percentile(latencies, 50) * 1e3,
         "latency_p99_ms": percentile(latencies, 99) * 1e3,
         "max_batch_size": max_batch,
-        "bubble_fraction": bubble,
     }
 
 
@@ -158,9 +151,9 @@ def _run_cluster(
 
     worker_cfg = ServeConfig(
         abft=config,
-        execution=ExecutionPolicy(mode="pipelined"),
-        # Smaller per-worker batches keep every shard's pipeline busy
-        # instead of one shard barriering on a giant batch.
+        execution=ExecutionPolicy(mode="fused"),
+        # Smaller per-worker batches keep every shard busy instead of one
+        # shard working through a giant batch.
         max_batch_size=max(8, concurrency // (4 * workers)),
         max_queue_depth=max(256, 2 * concurrency),
     )
@@ -257,7 +250,7 @@ def run_serve_benchmark(
     (kept flat for the CI baseline comparison).  With ``cluster_workers``
     set, additionally measures a ``cluster_workers``-shard
     :class:`~repro.cluster.frontend.ClusterFrontend` against a
-    single-process pipelined server at ``cluster_concurrency`` and
+    single-process fused server at ``cluster_concurrency`` and
     records both rows (plus their throughput ratio) under ``cluster``.
     Returns the ``BENCH_serve.json`` payload.  Raises ``AssertionError``
     if any served result differs bitwise from the serial reference or an
@@ -302,28 +295,21 @@ def run_serve_benchmark(
         "bitwise_identical": True,
         "host_cpus": os.cpu_count(),
     }
-    if "pipelined" in rows:
-        payload["bubble_fraction"] = rows["pipelined"]["bubble_fraction"]
-    if "pipelined" in rows and "fused" in rows:
-        payload["pipelined_speedup_vs_fused"] = (
-            rows["fused"]["serve_seconds"]
-            / rows["pipelined"]["serve_seconds"]
-        )
 
     if cluster_workers:
         single_row = _run_served(
-            a, bs, config, cluster_concurrency, "pipelined",
+            a, bs, config, cluster_concurrency, "fused",
             serial_results, registry,
         )
         cluster_row = _run_cluster(
             a, bs, config, cluster_concurrency, cluster_workers,
             serial_results,
         )
-        cluster_row["pipelined_seconds"] = single_row["serve_seconds"]
-        cluster_row["pipelined_throughput_rps"] = (
+        cluster_row["fused_seconds"] = single_row["serve_seconds"]
+        cluster_row["fused_throughput_rps"] = (
             single_row["serve_throughput_rps"]
         )
-        cluster_row["speedup_vs_pipelined"] = (
+        cluster_row["speedup_vs_fused"] = (
             single_row["serve_seconds"] / cluster_row["cluster_seconds"]
         )
         payload["cluster"] = cluster_row

@@ -15,9 +15,9 @@ Scheduling behaviour (all knobs on :class:`~repro.serve.config.ServeConfig`):
   arriving within ``batch_window_s`` (up to ``max_batch_size``) and runs
   them as one :meth:`~repro.engine.engine.MatmulEngine.execute_batch`
   call under the config's :class:`~repro.engine.policy.ExecutionPolicy`
-  (mode ``auto`` by default, so batches ride the stage-pipelined executor
-  when its preconditions hold), amortising encode/check overhead across
-  the batch;
+  (mode ``auto`` by default, so a batch sharing one weight runs as one
+  stacked GEMM in the fused executor), amortising encode/check overhead
+  across the batch;
 * **deadline degradation ladder** — requests under deadline pressure are
   served at progressively cheaper protection levels (full → SEA →
   unchecked), walking the ladder strictly in order; the delivered level
@@ -544,24 +544,6 @@ class MatmulServer:
             backend="numpy",
         )
 
-    def _batch_deadline(self, pendings: list[_Pending]) -> float | None:
-        """The batch's tightest remaining deadline budget in seconds.
-
-        Threaded into the execution policy so the pipelined executor can
-        clamp its speculative prefetch window; ``None`` when no pending
-        request carries a deadline.  Already-expired deadlines clamp to a
-        tiny positive budget (the policy requires ``deadline_s > 0``).
-        """
-        now = self._clock()
-        remaining = [
-            p.deadline_at - now
-            for p in pendings
-            if p.deadline_at is not None
-        ]
-        if not remaining:
-            return None
-        return max(min(remaining), 1e-6)
-
     def _run_checked(
         self, pendings: list[_Pending], rung_name: str
     ) -> list[MatmulResponse]:
@@ -577,12 +559,8 @@ class MatmulServer:
             # scheme needs its own preprocessing, so fall back to raw data.
             a_ops = [_raw_operand(a) for a in a_ops]
             b_ops = [_raw_operand(b) for b in b_ops]
-        policy = cfg.execution
-        deadline_s = self._batch_deadline(pendings)
-        if deadline_s is not None:
-            policy = policy.replace(deadline_s=deadline_s)
         results = self.engine.execute_batch(
-            list(zip(a_ops, b_ops)), policy=policy, config=eff
+            list(zip(a_ops, b_ops)), policy=cfg.execution, config=eff
         )
         responses = []
         for p, a_op, b_op, result in zip(pendings, a_ops, b_ops, results):

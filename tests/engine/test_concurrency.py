@@ -13,9 +13,9 @@ import pytest
 
 from repro.engine import ExecutionPolicy, MatmulEngine
 
+DEFAULT = ExecutionPolicy()
 SERIAL = ExecutionPolicy(mode="serial")
 FUSED = ExecutionPolicy(mode="fused")
-PIPELINED = ExecutionPolicy(mode="pipelined")
 
 THREADS = 8
 ROUNDS = 6
@@ -158,12 +158,13 @@ class TestPlanCacheRaces:
         assert stats.calls == THREADS * ROUNDS * 3
         assert stats.plan_evictions > 0
 
-    def test_pipelined_batches_race_plan_eviction(self, workload):
-        """Pipelined slots race eviction and workspace-pool recycling.
+    def test_default_policy_batches_race_plan_eviction(self, workload):
+        """Default-policy batches race eviction and workspace-pool recycling.
 
-        Every thread walks a different shape sequence, so chunk states,
-        the bitwise-probe verdict cache and pooled chunk buffers are all
-        exercised while the tiny LRU is evicting plans under them.
+        ``auto`` must resolve to the fused executor under contention, and
+        every thread walks a different shape sequence, so the stacked
+        encodes, the bitwise-probe verdict cache and pooled grid buffers
+        are all exercised while the tiny LRU is evicting plans under them.
         """
         pairs, reference = workload
         engine = MatmulEngine(plan_cache_size=2)
@@ -177,7 +178,7 @@ class TestPlanCacheRaces:
                     shape = SHAPES[(idx + round_no) % len(SHAPES)]
                     a, bs = pairs[shape]
                     results = engine.execute_batch(
-                        [(a, b) for b in bs], policy=PIPELINED
+                        [(a, b) for b in bs], policy=DEFAULT
                     )
                     for res, ref in zip(results, reference[shape]):
                         if not np.array_equal(res.c, ref):
@@ -204,3 +205,7 @@ class TestPlanCacheRaces:
         assert stats.calls == THREADS * ROUNDS * 3
         assert stats.plan_evictions > 0
         assert stats.detections == 0
+        modes = engine.registry.counter(
+            "abft_engine_execute_batch_total", labelnames=("mode",)
+        )
+        assert modes.labels(mode="fused").get() == THREADS * ROUNDS

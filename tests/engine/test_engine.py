@@ -95,13 +95,13 @@ class TestBitwiseEquivalence:
             assert np.array_equal(s.c, r.c)
             assert np.array_equal(s.c_fc, r.c_fc)
 
-    def test_stacked_3d_input_via_shim(self, rng, engine):
+    def test_stacked_3d_slices_as_requests(self, rng, engine):
         a = rng.uniform(-1, 1, (32, 32))
         stack = rng.uniform(-1, 1, (3, 32, 32))
-        with pytest.warns(DeprecationWarning):
-            batched = engine.matmul_many(a, stack)
+        batched = engine.execute_batch([(a, b) for b in stack])
         for i, r in enumerate(batched):
             assert np.array_equal(r.c, engine.matmul(a, stack[i]).c)
+            assert np.array_equal(r.c_fc, engine.matmul(a, stack[i]).c_fc)
 
     def test_pairwise_lists(self, rng, engine):
         As = [rng.uniform(-1, 1, (16, 16)) for _ in range(3)]
@@ -109,12 +109,6 @@ class TestBitwiseEquivalence:
         batched = engine.execute_batch(list(zip(As, Bs)))
         for a, b, r in zip(As, Bs, batched):
             assert np.array_equal(r.c, engine.matmul(a, b).c)
-
-    def test_mismatched_batch_lengths_rejected(self, rng, engine):
-        a = rng.uniform(-1, 1, (16, 16))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ShapeError, match="batch lengths"):
-                engine.matmul_many([a, a], [a, a, a])
 
     def test_sea_and_fixed_schemes_match(self, rng):
         a = rng.uniform(-1, 1, (32, 32))

@@ -1,4 +1,5 @@
-"""Stage-pipelined execute_batch: bitwise identity, scheduling, policy."""
+"""The batch executor behind execute_batch: bitwise identity, policy,
+telemetry."""
 
 from __future__ import annotations
 
@@ -7,20 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    AbftConfig,
-    ExecutionPolicy,
-    MatmulEngine,
-    PipelineSchedule,
-    pipeline_supported,
-    plan_schedule,
-)
-from repro.engine.pipeline import _greedy_slots
-from repro.engine.stats import StageCost, StageCosts
+from repro.engine import AbftConfig, ExecutionPolicy, MatmulEngine
+from repro.engine.fused import fused_supported
+from repro.engine.stats import StageCosts
 from repro.errors import ConfigurationError
 from repro.telemetry import MetricsRegistry
 
-PIPELINED = ExecutionPolicy(mode="pipelined")
+DEFAULT = ExecutionPolicy()
+FUSED = ExecutionPolicy(mode="fused")
 
 
 def fresh_engine(**kwargs) -> MatmulEngine:
@@ -40,9 +35,9 @@ def assert_bitwise_equal(results, reference):
 
 
 class TestBitwiseIdentity:
-    """The hard invariant: pipelined results are bitwise identical to
+    """The hard invariant: batched results are bitwise identical to
     sequential matmul calls — including padded edge blocks, float32 and
-    the per-item reference fallback when the concat probe fails."""
+    the per-pair fallback when the stacked-GEMM probe fails."""
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -52,18 +47,16 @@ class TestBitwiseIdentity:
         k=st.integers(2, 5),
         dtype=st.sampled_from([np.float64, np.float32]),
     )
-    def test_pipelined_matches_serial_property(self, m, n, q, k, dtype):
+    def test_fused_matches_serial_property(self, m, n, q, k, dtype):
         rng = np.random.default_rng(m * 1000 + n * 10 + q + k)
         a = rng.uniform(-1, 1, (m, n)).astype(dtype)
         bs = [rng.uniform(-1, 1, (n, q)).astype(dtype) for _ in range(k)]
         engine = fresh_engine()
         reference = [MatmulEngine().matmul(a, b) for b in bs]
-        results = engine.execute_batch(
-            [(a, b) for b in bs], policy=PIPELINED
-        )
+        results = engine.execute_batch([(a, b) for b in bs], policy=DEFAULT)
         assert_bitwise_equal(results, reference)
 
-    def test_pipelined_matches_serial_on_blocked_backend(self):
+    def test_fused_matches_serial_on_blocked_backend(self):
         rng = np.random.default_rng(21)
         cfg = AbftConfig(backend="blocked", gemm_tile=32)
         a = rng.uniform(-1, 1, (100, 70))
@@ -71,21 +64,7 @@ class TestBitwiseIdentity:
         reference = [MatmulEngine().matmul(a, b, config=cfg) for b in bs]
         engine = fresh_engine()
         results = engine.execute_batch(
-            [(a, b) for b in bs], policy=PIPELINED, config=cfg
-        )
-        assert_bitwise_equal(results, reference)
-
-    def test_small_chunks_defeating_coalescing_stay_bitwise(self):
-        # chunk_size=1 forces one pair per chunk: no concatenation win,
-        # maximum slot churn — the answer must not change.
-        rng = np.random.default_rng(22)
-        a = rng.uniform(-1, 1, (64, 48))
-        bs = [rng.uniform(-1, 1, (48, 24)) for _ in range(5)]
-        reference = [MatmulEngine().matmul(a, b) for b in bs]
-        engine = fresh_engine()
-        results = engine.execute_batch(
-            [(a, b) for b in bs],
-            policy=ExecutionPolicy(mode="pipelined", chunk_size=1),
+            [(a, b) for b in bs], policy=FUSED, config=cfg
         )
         assert_bitwise_equal(results, reference)
 
@@ -97,7 +76,7 @@ class TestBitwiseIdentity:
         ]
         reference = [MatmulEngine().matmul(a, b) for a, b in pairs]
         engine = fresh_engine()
-        results = engine.execute_batch(pairs, policy=PIPELINED)
+        results = engine.execute_batch(pairs, policy=FUSED)
         assert_bitwise_equal(results, reference)
 
     def test_mixed_shapes_fall_back_and_stay_bitwise(self):
@@ -105,9 +84,9 @@ class TestBitwiseIdentity:
         a = rng.uniform(-1, 1, (64, 64))
         b1 = rng.uniform(-1, 1, (64, 8))
         b2 = rng.uniform(-1, 1, (64, 16))
-        assert not pipeline_supported([a, a], [b1, b2], AbftConfig())
+        assert not fused_supported([a, a], [b1, b2], AbftConfig())
         engine = fresh_engine()
-        results = engine.execute_batch([(a, b1), (a, b2)], policy=PIPELINED)
+        results = engine.execute_batch([(a, b1), (a, b2)], policy=FUSED)
         reference = [MatmulEngine().matmul(a, b) for b in (b1, b2)]
         assert_bitwise_equal(results, reference)
         fallbacks = engine.registry.counter(
@@ -116,7 +95,7 @@ class TestBitwiseIdentity:
         assert fallbacks.labels(reason="unsupported").get() == 1
 
     def test_probe_pinned_signature_stays_bitwise_on_repeat(self):
-        # Whatever verdict the first chunk's dual-compute probe reaches,
+        # Whatever verdict the first group's dual-compute probe reaches,
         # later batches of the same signature must reuse it and stay
         # bitwise — run the same batch twice through one engine.
         rng = np.random.default_rng(25)
@@ -125,19 +104,17 @@ class TestBitwiseIdentity:
         reference = [MatmulEngine().matmul(a, b) for b in bs]
         engine = fresh_engine()
         for _ in range(2):
-            results = engine.execute_batch(
-                [(a, b) for b in bs], policy=PIPELINED
-            )
+            results = engine.execute_batch([(a, b) for b in bs], policy=DEFAULT)
             assert_bitwise_equal(results, reference)
 
-    def test_injected_fault_detected_through_pipelined_provider(self):
+    def test_injected_fault_detected_through_fused_provider(self):
         from repro.abft.checking import check_partitioned
 
         rng = np.random.default_rng(26)
         a = rng.uniform(-1, 1, (64, 64))
         bs = [rng.uniform(-1, 1, (64, 16)) for _ in range(3)]
         engine = fresh_engine()
-        results = engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
+        results = engine.execute_batch([(a, b) for b in bs], policy=DEFAULT)
         res = results[2]
         assert not res.detected
         res.c_fc[3, 5] += 1.0
@@ -148,100 +125,24 @@ class TestBitwiseIdentity:
         assert (3, 5) in report.located_errors
 
 
-WARM = StageCosts(
-    encode=StageCost(seconds=0.4, observations=100),
-    multiply=StageCost(seconds=1.0, observations=100),
-    check=StageCost(seconds=0.3, observations=100),
-)
-COLD = StageCosts()
-
-
-def stage_complete(schedule: PipelineSchedule) -> None:
-    """Every chunk is encoded, multiplied and checked exactly once, in
-    dependency order, and the encode lane never runs past the window."""
-    n = schedule.num_chunks
-    done: dict[str, set[int]] = {"encode": set(), "multiply": set(), "check": set()}
-    for stage, idx in schedule.slots:
-        assert idx not in done[stage], f"duplicate {stage} slot {idx}"
-        if stage == "multiply":
-            assert idx in done["encode"], "multiply before encode"
-        if stage == "check":
-            assert idx in done["multiply"], "check before multiply"
-        if stage == "encode":
-            lead = len(done["encode"]) - len(done["multiply"])
-            assert lead < schedule.window, "encode lane overran the window"
-        done[stage].add(idx)
-    assert all(len(v) == n for v in done.values())
-
-
-class TestPlanSchedule:
-    def test_cold_engine_stays_serial(self):
-        schedule = plan_schedule([8], COLD, workers=4, policy=PIPELINED)
-        assert not schedule.overlap
-        assert schedule.window == 1
-        assert schedule.predicted_serial_s == 0.0
-        assert schedule.predicted_overlap_s == 0.0
-        stage_complete(schedule)
-
-    def test_single_worker_uses_one_chunk_per_group(self):
-        schedule = plan_schedule([6, 4], WARM, workers=1, policy=PIPELINED)
-        assert not schedule.overlap
-        # one chunk per group: maximum amortisation when nothing overlaps
-        assert schedule.chunks == ((0, 6), (1, 4))
-        stage_complete(schedule)
-
-    def test_warm_multiworker_overlaps(self):
-        schedule = plan_schedule([24], WARM, workers=4, policy=PIPELINED)
-        assert schedule.overlap
-        assert schedule.window == PIPELINED.max_inflight
-        assert schedule.num_chunks >= 2
-        assert 0 < schedule.predicted_overlap_s < schedule.predicted_serial_s
-        stage_complete(schedule)
-
-    def test_blown_deadline_clamps_window(self):
-        tight = ExecutionPolicy(mode="pipelined", deadline_s=1e-9)
-        schedule = plan_schedule([24], WARM, workers=4, policy=tight)
-        assert schedule.overlap
-        assert schedule.window == 1
-        stage_complete(schedule)
-
-    def test_policy_chunk_size_honoured(self):
-        policy = ExecutionPolicy(mode="pipelined", chunk_size=3)
-        schedule = plan_schedule([7], WARM, workers=4, policy=policy)
-        assert schedule.chunks == ((0, 3), (0, 3), (0, 1))
-        stage_complete(schedule)
-
-    def test_window_one_is_the_serial_slot_order(self):
-        slots = _greedy_slots(3, window=1)
-        assert slots == (
-            ("encode", 0), ("multiply", 0), ("check", 0),
-            ("encode", 1), ("multiply", 1), ("check", 1),
-            ("encode", 2), ("multiply", 2), ("check", 2),
-        )
-
-    def test_wide_window_prefetches_encodes(self):
-        slots = _greedy_slots(4, window=3)
-        # the warm-up fills the window before the first multiply
-        assert slots[:3] == (("encode", 0), ("encode", 1), ("encode", 2))
-        assert slots[3] == ("multiply", 0)
-
-
 class TestExecutionPolicy:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError, match="mode"):
             ExecutionPolicy(mode="turbo")
 
+    def test_retired_pipelined_mode_rejected(self):
+        with pytest.raises(ConfigurationError, match="mode"):
+            ExecutionPolicy(mode="pipelined")
+
     def test_invalid_bounds_rejected(self):
-        with pytest.raises(ConfigurationError, match="deadline_s"):
-            ExecutionPolicy(deadline_s=0.0)
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            ExecutionPolicy(chunk_size=0)
-        with pytest.raises(ConfigurationError, match="max_inflight"):
-            ExecutionPolicy(max_inflight=0)
+        with pytest.raises(ConfigurationError, match="backend"):
+            ExecutionPolicy(backend=3)
+        with pytest.raises(ConfigurationError, match="fusion"):
+            ExecutionPolicy(fusion="online")
 
     def test_replace_revalidates(self):
         policy = ExecutionPolicy()
-        assert policy.replace(mode="pipelined").mode == "pipelined"
+        assert policy.replace(mode="fused").mode == "fused"
         with pytest.raises(ConfigurationError):
             policy.replace(mode="nope")
 
@@ -252,43 +153,17 @@ class TestExecutionPolicy:
 
 
 class TestTelemetry:
-    def test_pipeline_metrics_publish(self):
-        rng = np.random.default_rng(27)
-        a = rng.uniform(-1, 1, (64, 64))
-        bs = [rng.uniform(-1, 1, (64, 16)) for _ in range(4)]
-        engine = fresh_engine()
-        engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
-        reg = engine.registry
-        assert reg.counter("abft_pipeline_batches_total").get() == 1
-        assert reg.counter("abft_pipeline_chunks_total").get() >= 1
-        busy = reg.counter(
-            "abft_pipeline_stage_busy_seconds_total", labelnames=("stage",)
-        )
-        for stage in ("encode", "multiply", "check"):
-            assert busy.labels(stage=stage).get() > 0
-        bubble = reg.gauge("abft_pipeline_bubble_fraction").get()
-        assert 0.0 <= bubble <= 1.0
-        occupancy = reg.gauge(
-            "abft_pipeline_stage_occupancy", labelnames=("stage",)
-        )
-        for stage in ("encode", "multiply", "check"):
-            assert 0.0 <= occupancy.labels(stage=stage).get() <= 1.0
-        modes = reg.counter(
-            "abft_engine_execute_batch_total", labelnames=("mode",)
-        )
-        assert modes.labels(mode="pipelined").get() == 1
-
     def test_mode_counter_tracks_auto_resolution(self):
         rng = np.random.default_rng(28)
         a = rng.uniform(-1, 1, (64, 64))
         bs = [rng.uniform(-1, 1, (64, 16)) for _ in range(2)]
         engine = fresh_engine()
-        engine.execute_batch([(a, b) for b in bs])  # auto -> pipelined
+        engine.execute_batch([(a, b) for b in bs])  # auto -> fused
         engine.execute_batch([(a, bs[0])])  # single pair -> serial
         modes = engine.registry.counter(
             "abft_engine_execute_batch_total", labelnames=("mode",)
         )
-        assert modes.labels(mode="pipelined").get() == 1
+        assert modes.labels(mode="fused").get() == 1
         assert modes.labels(mode="serial").get() == 1
 
     def test_stage_costs_in_stats(self):
@@ -311,12 +186,18 @@ class TestTelemetry:
         a = rng.uniform(-1, 1, (64, 64))
         bs = [rng.uniform(-1, 1, (64, 16)) for _ in range(3)]
         engine = fresh_engine()
-        engine.execute_batch([(a, b) for b in bs], policy=PIPELINED)
-        engine.reset_stats()
+        engine.execute_batch([(a, b) for b in bs], policy=DEFAULT)
+        engine.execute_batch([(a, b) for b in bs[:2]] + [(bs[2].T, a)],
+                             policy=FUSED)  # mixed shapes: counted fallback
         reg = engine.registry
-        assert reg.counter("abft_pipeline_batches_total").get() == 0
-        assert reg.gauge("abft_pipeline_bubble_fraction").get() == 0.0
+        fallbacks = reg.counter(
+            "abft_pipeline_fallbacks_total", labelnames=("reason",)
+        )
+        assert fallbacks.labels(reason="unsupported").get() == 1
+        engine.reset_stats()
+        assert fallbacks.labels(reason="unsupported").get() == 0
         modes = reg.counter(
             "abft_engine_execute_batch_total", labelnames=("mode",)
         )
-        assert modes.labels(mode="pipelined").get() == 0
+        assert modes.labels(mode="fused").get() == 0
+        assert modes.labels(mode="serial").get() == 0

@@ -9,7 +9,7 @@ block sums of ``C`` against the thin checksum GEMMs ``R = EA @ B``,
   products, for every scheme;
 * ``c`` is ``np.matmul``'s bytes on the numpy backend;
 * no engine route pads, interleaves or strips an operand or result;
-* every route agrees bitwise (serial, pipelined, fused batch, single-tile
+* every route agrees bitwise (serial and fused batch, single-tile
   fused online, blocked backend);
 * a rank-1 product never raises (``p`` clamps to the inner length);
 * ``top_p_arrays`` is Algorithm 1's literal scan.
@@ -188,6 +188,93 @@ class TestChunkedPaths:
         assert np.array_equal(res.top_indices, ref_idx)
 
 
+def _padded_block_sums(x3, bs, dtype):
+    """The reference: every trailing partial block zero-padded to ``bs``."""
+    rows, items, q = x3.shape
+    full = q // bs
+    tail = np.zeros((rows, items, bs), dtype=dtype)
+    tail[:, :, : q - full * bs] = x3[:, :, full * bs :]
+    return np.add.reduce(tail, axis=2)
+
+
+def _special_entries(rng, shape, dtype):
+    """Values of every magnitude plus ±0, ±Inf, NaN and subnormals."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    info = np.finfo(dtype)
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan,
+         float(info.smallest_subnormal), -3 * float(info.smallest_subnormal)]
+    )
+    mask = rng.random(shape) < 0.15
+    x[mask] = rng.choice(specials, size=int(mask.sum()))
+    # Some rows hold only negative zeros: their block sums are exactly 0.
+    x[rng.random(shape[:-1]) < 0.1] = -0.0
+    return x.astype(dtype)
+
+
+def _assert_bitwise(got, ref):
+    """Bit for bit, NaN payloads and the sign of zero included.
+
+    A padded and an unpadded block could only differ in the sign of an
+    exactly-zero sum (padding adds +0), but numpy's add reduction starts
+    from +0, so an all-negative-zero block sums to +0 either way.
+    """
+    uint = np.dtype(f"u{got.itemsize}")
+    assert np.array_equal(
+        np.ascontiguousarray(got).view(uint),
+        np.ascontiguousarray(ref).view(uint),
+    )
+
+
+class TestNarrowBlockSums:
+    """A partial block summed over :func:`sideproduct.pairwise_span` terms
+    equals the zero-padded full-block sum at every partial width."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        items=st.integers(1, 33),
+        rows=st.integers(1, 9),
+        full=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_zero_padded_reference(self, items, rows, full, seed):
+        rng = np.random.default_rng(seed)
+        with np.errstate(invalid="ignore", over="ignore"):
+            self._check_every_width(rng, items, rows, full)
+
+    @staticmethod
+    def _check_every_width(rng, items, rows, full):
+        for bs in (16, 32, 64):
+            for width in range(1, bs):
+                q = full * bs + width
+                nb = full + 1
+                for dtype in (np.float32, np.float64):
+                    x = _special_entries(rng, (rows, items * q), dtype)
+                    x3 = x.reshape(rows, items, q)
+                    # Row sums of every column block, float64 (the checks).
+                    out = np.empty((rows, items * nb))
+                    sideproduct._col_block_sums(x, bs, nb, items, out)
+                    ref = _padded_block_sums(x3, bs, np.float64)
+                    _assert_bitwise(out.reshape(rows, items, nb)[:, :, -1], ref)
+                    # The right operand's EB in its own dtype, item by item
+                    # as fused_encode's stacked encode lays it out.
+                    eb = sideproduct.block_checksums(
+                        x.reshape(rows * items, q), "b", bs
+                    )
+                    ref = _padded_block_sums(
+                        x.reshape(rows * items, 1, q), bs, dtype
+                    )
+                    assert eb.dtype == dtype
+                    _assert_bitwise(eb[:, -1], ref[:, 0])
+
+    def test_span(self):
+        spans = [sideproduct.pairwise_span(w, 64) for w in range(1, 64)]
+        assert spans[:3] == [1, 2, 3]
+        assert spans[3:8] == [8] * 5
+        assert spans[15] == 16 and spans[16] == 24
+        assert sideproduct.pairwise_span(17, 20) == 20
+
+
 def sorted_top_p(vectors, p):
     """Top-p of every row by a stable sort: the first occurrence of equal
     absolute values ranks first, NaN ranks last."""
@@ -249,7 +336,7 @@ class TestRankOneProducts:
         result = fresh_engine().matmul(a, bs[0])
         assert result.c.tobytes() == np.matmul(a, bs[0]).tobytes()
 
-    @pytest.mark.parametrize("mode", ["serial", "fused", "pipelined"])
+    @pytest.mark.parametrize("mode", ["serial", "fused"])
     def test_execute_batch(self, operands, mode):
         a, bs = operands
         results = fresh_engine().execute_batch(
@@ -355,7 +442,7 @@ class TestNoInterleavedLayout:
         handle_a = engine.encode(a, side="a")
         handle_b = engine.encode(bs[0], side="b")
         engine.matmul(handle_a, handle_b)
-        for mode in ("serial", "fused", "pipelined"):
+        for mode in ("serial", "fused"):
             engine.execute_batch(
                 [(a, b) for b in bs], policy=ExecutionPolicy(mode=mode)
             )
@@ -378,7 +465,7 @@ def _route_results(a, bs, dtype_cfg):
     """Every route's results for the same pairs."""
     serial = [fresh_engine(dtype_cfg).matmul(a, b) for b in bs]
     routes = {"serial": serial}
-    for mode in ("serial", "fused", "pipelined"):
+    for mode in ("serial", "fused"):
         routes[f"batch-{mode}"] = fresh_engine(dtype_cfg).execute_batch(
             [(a, b) for b in bs], policy=ExecutionPolicy(mode=mode)
         )

@@ -1,5 +1,5 @@
 """Fused execute_batch: bitwise identity with the serial path, fallbacks,
-metrics, and the deprecated matmul_many/matmul_fused shims."""
+metrics, and the serving layer's default route through it."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ import pytest
 from repro.engine import AbftConfig, ExecutionPolicy, MatmulEngine
 from repro.engine.fused import fused_supported
 from repro.errors import ShapeError
+from repro.serve import MatmulServer, ServeConfig, VerificationStatus
+from repro.telemetry import MetricsRegistry
 
 FUSED = ExecutionPolicy(mode="fused")
 
@@ -186,29 +188,66 @@ class TestMetrics:
         assert stats.check_seconds > 0
 
 
-class TestDeprecatedShims:
-    def test_matmul_many_warns_and_matches(self, engine):
-        rng = np.random.default_rng(15)
-        a = rng.uniform(-1, 1, (64, 64))
-        bs = [rng.uniform(-1, 1, (64, 8)) for _ in range(2)]
-        serial = [MatmulEngine().matmul(a, b) for b in bs]
-        with pytest.warns(DeprecationWarning, match="matmul_many"):
-            results = engine.matmul_many(a, bs)
-        assert_results_bitwise_equal(results, serial)
+class TestStackReuse:
+    """The encode's side-by-side stack is the stacked GEMM's operand."""
 
-    def test_matmul_fused_warns_and_matches(self, engine):
-        rng = np.random.default_rng(16)
-        a = rng.uniform(-1, 1, (64, 64))
-        bs = [rng.uniform(-1, 1, (64, 8)) for _ in range(2)]
-        serial = [MatmulEngine().matmul(a, b) for b in bs]
-        with pytest.warns(DeprecationWarning, match="matmul_fused"):
-            results = engine.matmul_fused(a, bs)
-        assert_results_bitwise_equal(results, serial)
+    def stacked_args(self, monkeypatch, pairs):
+        from repro.engine import fused
 
-    def test_shim_length_mismatch_raises(self, engine):
-        rng = np.random.default_rng(17)
-        a = [rng.uniform(-1, 1, (64, 64)) for _ in range(2)]
-        b = [rng.uniform(-1, 1, (64, 8)) for _ in range(3)]
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ShapeError):
-                engine.matmul_fused(a, b)
+        seen = []
+        real = fused.group_products
+
+        def spy(engine, plan, enc_a, enc_bs, stacked_b=None):
+            seen.append(stacked_b)
+            return real(engine, plan, enc_a, enc_bs, stacked_b)
+
+        monkeypatch.setattr(fused, "group_products", spy)
+        # The fused online tile loop multiplies per pair; pin it off.
+        cfg = AbftConfig(fusion="separate")
+        results = MatmulEngine(cfg).execute_batch(pairs, policy=FUSED)
+        serial = [MatmulEngine(cfg).matmul(a, b) for a, b in pairs]
+        assert_results_bitwise_equal(results, serial)
+        return seen
+
+    def test_distinct_right_operands_reuse_the_stack(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        a = rng.uniform(-1, 1, (64, 64))
+        bs = [rng.uniform(-1, 1, (64, 16)) for _ in range(4)]
+        (stacked,) = self.stacked_args(monkeypatch, [(a, b) for b in bs])
+        assert np.array_equal(stacked, np.hstack(bs))
+
+    def test_repeated_right_operand_does_not(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        a = rng.uniform(-1, 1, (64, 64))
+        b0, b1 = (rng.uniform(-1, 1, (64, 16)) for _ in range(2))
+        seen = self.stacked_args(monkeypatch, [(a, b0), (a, b1), (a, b0)])
+        assert seen == [None]
+
+
+class TestServingDefault:
+    def test_default_server_runs_a_full_batch_fused(self):
+        rng = np.random.default_rng(18)
+        w = rng.uniform(-1, 1, (256, 256))
+        xs = [rng.uniform(-1, 1, (256, 16)) for _ in range(32)]
+        server = MatmulServer(
+            ServeConfig(), registry=MetricsRegistry(), auto_start=False
+        )
+        futs = [server.submit(w, x) for x in xs]
+        server.start()
+        server.stop(drain=True)
+        server.engine.close()
+        responses = [f.result() for f in futs]
+        modes = server.engine.registry.counter(
+            "abft_engine_execute_batch_total", labelnames=("mode",)
+        )
+        assert modes.labels(mode="fused").get() == 1
+        assert modes.labels(mode="serial").get() == 0
+        assert all(r.batch_size == 32 for r in responses)
+        serial = MatmulEngine()
+        for x, r in zip(xs, responses):
+            ref = serial.matmul(w, x)
+            assert r.status is VerificationStatus.FULL
+            assert r.c.tobytes() == ref.c.tobytes()
+            assert r.report.num_checks == ref.report.num_checks
+            assert np.array_equal(r.report.column_disc, ref.report.column_disc)
+            assert np.array_equal(r.report.row_disc, ref.report.row_disc)

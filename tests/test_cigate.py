@@ -135,7 +135,7 @@ class TestPipelineCoverageGate:
             gauges.labels(quantity="detection_rate").get() == result.measured
         )
         assert gauges.labels(quantity="baseline_clean").get() == 1.0
-        assert gauges.labels(quantity="pipelined_ran").get() == 1.0
+        assert gauges.labels(quantity="fused_ran").get() == 1.0
         assert gauges.labels(quantity="critical_errors").get() > 0
 
 

@@ -74,7 +74,6 @@ class TestImports:
             "MatmulEngine",
             "ExecutionPolicy",
             "EXECUTION_MODES",
-            "PipelineSchedule",
             "StageCost",
             "StageCosts",
             "EngineStats",
@@ -95,18 +94,15 @@ class TestImports:
             "ExecutionPlan",
             "ExecutionPolicy",
             "EXECUTION_MODES",
-            "PipelineSchedule",
             "PlanCache",
             "build_plan",
             "default_engine",
-            "pipeline_supported",
-            "plan_schedule",
         }
 
     def test_execution_modes_locked(self):
         from repro import EXECUTION_MODES
 
-        assert EXECUTION_MODES == ("auto", "serial", "fused", "pipelined")
+        assert EXECUTION_MODES == ("auto", "serial", "fused")
 
     def test_serve_exports_locked(self):
         from repro import serve
