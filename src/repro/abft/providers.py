@@ -15,8 +15,9 @@ import numpy as np
 from ..bounds.adaptive import AdaptiveBound, adaptive_epsilon_array
 from ..bounds.base import BoundContext, BoundScheme
 from ..bounds.sea import SEABound, sea_epsilon_array
-from ..bounds.upper_bound import TopP, determine_upper_bound, upper_bound_grid_arrays
+from ..bounds.upper_bound import TopP, determine_upper_bound
 from .encoding import PartitionedLayout
+from .grids import CheckGrids, aabft_tolerance_grids
 
 __all__ = [
     "ConstantEpsilonProvider",
@@ -44,24 +45,15 @@ class ConstantEpsilonProvider:
         col_layout: PartitionedLayout,
         *,
         pool=None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> CheckGrids:
         """Dense ``(column, row)`` tolerance grids for the fast check path.
 
         ``pool`` (a :class:`~repro.engine.plan.WorkspacePool`) supplies the
-        grid buffers when given; the engine gives them back after checking.
+        grids' buffer when given; the engine gives it back after checking.
         """
-        col_shape = (row_layout.num_blocks, col_layout.encoded_rows)
-        row_shape = (row_layout.encoded_rows, col_layout.num_blocks)
-        if pool is None:
-            return (
-                np.full(col_shape, self.epsilon_value),
-                np.full(row_shape, self.epsilon_value),
-            )
-        col = pool.take(col_shape)
-        col.fill(self.epsilon_value)
-        row = pool.take(row_shape)
-        row.fill(self.epsilon_value)
-        return col, row
+        grids = CheckGrids.empty(row_layout, col_layout, pool=pool)
+        grids.buffer.fill(self.epsilon_value)
+        return grids
 
 
 class AABFTEpsilonProvider:
@@ -233,43 +225,29 @@ class AABFTEpsilonProvider:
         col_layout: PartitionedLayout,
         *,
         pool=None,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+    ) -> CheckGrids | None:
         """Dense tolerance grids, vectorised (the engine's fast check path).
 
-        Returns ``(column, row)`` epsilon arrays bitwise equal to looping
+        Returns the ``(column, row)`` epsilon grids bitwise equal to looping
         :meth:`column_epsilon` / :meth:`row_epsilon` over every comparison,
         or ``None`` when the bound scheme has no array form (the caller then
         falls back to the scalar check).  The provider's own layouts are
         authoritative; the arguments are accepted for interface uniformity.
-        ``pool`` (a :class:`~repro.engine.plan.WorkspacePool`) recycles the
-        intermediate upper-bound grids; the returned epsilon arrays are
-        freshly owned either way (the engine gives them back itself).
+        The grids are :func:`~repro.abft.grids.aabft_tolerance_grids`'
+        one-buffer pair; ``pool`` (a :class:`~repro.engine.plan.
+        WorkspacePool`) recycles the intermediate upper-bound buffer.
         """
-        epsilon_array = getattr(self.scheme, "epsilon_array", None)
-        if epsilon_array is None:
+        if getattr(self.scheme, "epsilon_array", None) is None:
             return None
-        row_vals, row_idx, col_vals, col_idx = self._stacked_tops()
-        cs_rows = self.row_layout.all_checksum_indices()
-        cs_cols = self.col_layout.all_checksum_indices()
-        col_y = row_y = None
-        if pool is not None:
-            col_y = pool.take((cs_rows.size, col_vals.shape[0]))
-            row_y = pool.take((row_vals.shape[0], cs_cols.size))
-        col_y = upper_bound_grid_arrays(
-            row_vals[cs_rows], row_idx[cs_rows], col_vals, col_idx, out=col_y
+        return aabft_tolerance_grids(
+            self.scheme,
+            *self._stacked_tops(),
+            self.row_layout,
+            self.col_layout,
+            self.inner_dim,
+            self.epsilon_floor,
+            pool=pool,
         )
-        row_y = upper_bound_grid_arrays(
-            row_vals, row_idx, col_vals[cs_cols], col_idx[cs_cols], out=row_y
-        )
-        col_eps = epsilon_array(self.inner_dim, col_y)
-        row_eps = epsilon_array(self.inner_dim, row_y)
-        if pool is not None:
-            pool.give(col_y)
-            pool.give(row_y)
-        if self.epsilon_floor > 0.0:
-            np.maximum(col_eps, self.epsilon_floor, out=col_eps)
-            np.maximum(row_eps, self.epsilon_floor, out=row_eps)
-        return col_eps, row_eps
 
 
 class SEAEpsilonProvider:
@@ -349,20 +327,20 @@ class SEAEpsilonProvider:
         col_layout: PartitionedLayout,
         *,
         pool=None,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+    ) -> CheckGrids | None:
         """Dense tolerance grids, vectorised (the engine's fast check path).
 
         Bitwise equal to looping the scalar methods; ``None`` when the bound
         scheme is not the plain :class:`~repro.bounds.sea.SEABound` (custom
-        schemes fall back to the scalar check).  ``pool`` supplies the grid
-        buffers when given (every element is overwritten below).
+        schemes fall back to the scalar check).  ``pool`` supplies the grids'
+        buffer when given (every element is overwritten below).
         """
         if type(self.scheme) is not SEABound:
             return None
         t = self.scheme.fmt.t
         n = self.inner_dim
-        col_shape = (self.row_layout.num_blocks, self.col_layout.encoded_rows)
-        col_eps = np.empty(col_shape) if pool is None else pool.take(col_shape)
+        grids = CheckGrids.empty(self.row_layout, self.col_layout, pool=pool)
+        col_eps, row_eps = grids
         m = self.row_layout.block_size
         for blk in range(self.row_layout.num_blocks):
             data_norms = self.a_row_norms[self.row_layout.data_indices(blk)]
@@ -376,8 +354,6 @@ class SEAEpsilonProvider:
                 b_norms=self.b_col_norms,
                 t=t,
             )
-        row_shape = (self.row_layout.encoded_rows, self.col_layout.num_blocks)
-        row_eps = np.empty(row_shape) if pool is None else pool.take(row_shape)
         m_t = self.col_layout.block_size
         for blk in range(self.col_layout.num_blocks):
             data_norms = self.b_col_norms[self.col_layout.data_indices(blk)]
@@ -391,7 +367,7 @@ class SEAEpsilonProvider:
                 b_norms=self.a_row_norms,
                 t=t,
             )
-        return col_eps, row_eps
+        return grids
 
 
 class AdaptiveEpsilonProvider(SEAEpsilonProvider):
@@ -411,7 +387,7 @@ class AdaptiveEpsilonProvider(SEAEpsilonProvider):
         col_layout: PartitionedLayout,
         *,
         pool=None,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+    ) -> CheckGrids | None:
         """Dense tolerance grids, vectorised (the engine's fast check path).
 
         Bitwise equal to looping the scalar methods; ``None`` when the
@@ -424,8 +400,8 @@ class AdaptiveEpsilonProvider(SEAEpsilonProvider):
         u_s = self.scheme.storage_fmt.unit_roundoff
         k = self.scheme.effective_k
         n = self.inner_dim
-        col_shape = (self.row_layout.num_blocks, self.col_layout.encoded_rows)
-        col_eps = np.empty(col_shape) if pool is None else pool.take(col_shape)
+        grids = CheckGrids.empty(self.row_layout, self.col_layout, pool=pool)
+        col_eps, row_eps = grids
         m = self.row_layout.block_size
         for blk in range(self.row_layout.num_blocks):
             data_norms = self.a_row_norms[self.row_layout.data_indices(blk)]
@@ -441,8 +417,6 @@ class AdaptiveEpsilonProvider(SEAEpsilonProvider):
                 u_storage=u_s,
                 k=k,
             )
-        row_shape = (self.row_layout.encoded_rows, self.col_layout.num_blocks)
-        row_eps = np.empty(row_shape) if pool is None else pool.take(row_shape)
         m_t = self.col_layout.block_size
         for blk in range(self.col_layout.num_blocks):
             data_norms = self.b_col_norms[self.col_layout.data_indices(blk)]
@@ -458,4 +432,4 @@ class AdaptiveEpsilonProvider(SEAEpsilonProvider):
                 u_storage=u_s,
                 k=k,
             )
-        return col_eps, row_eps
+        return grids

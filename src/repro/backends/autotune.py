@@ -188,12 +188,17 @@ class AutotuneCache:
     other's winners.  A corrupt or missing file reads as empty instead of
     failing, so a broken cache can only cost re-tuning, never
     correctness.
+
+    ``generation`` counts the :meth:`put` and :meth:`clear` calls made
+    through this object; engines key their cached negotiations on it, so
+    a new winner or a cleared cache reaches the next call.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else default_cache_path()
         self._lock = threading.Lock()
         self._entries: dict[str, TunedChoice] | None = None
+        self.generation = 0
 
     def _read_disk(self) -> dict[str, TunedChoice]:
         try:
@@ -223,6 +228,7 @@ class AutotuneCache:
                 merged.update(self._entries)
                 merged[key] = choice
                 self._entries = merged
+                self.generation += 1
                 payload = {
                     "version": 1,
                     "entries": {
@@ -251,6 +257,7 @@ class AutotuneCache:
         """Drop every entry (and the on-disk file, if any)."""
         with self._lock:
             self._entries = {}
+            self.generation += 1
             try:
                 self.path.unlink(missing_ok=True)
             except OSError:

@@ -54,12 +54,15 @@ class BackendRegistry:
     Factories are registered up front (cheap); instances are built on
     first :meth:`get` and shared from then on, so expensive probes
     (imports, thread pools, self-checks) run at most once per registry.
+    ``generation`` counts :meth:`register` calls; engines key their cached
+    negotiations on it.
     """
 
     def __init__(self) -> None:
         self._factories: dict[str, object] = {}
         self._instances: dict[str, Backend] = {}
         self._lock = threading.RLock()
+        self.generation = 0
 
     def register(self, name: str, factory, *, replace: bool = False) -> None:
         """Register a backend factory (a zero-arg callable)."""
@@ -72,6 +75,7 @@ class BackendRegistry:
                 )
             self._factories[name] = factory
             self._instances.pop(name, None)
+            self.generation += 1
 
     def names(self) -> list[str]:
         """Registered backend names in registration order."""

@@ -199,7 +199,10 @@ class ProbabilisticBound(BoundScheme):
         engine's plan-cached fast checking path.
         """
         y = np.asarray(y, dtype=np.float64)
-        if np.any(y < 0.0) or not np.all(np.isfinite(y)):
+        # One min/max pair rejects what the scalar check does: a negative
+        # entry or -inf fails the min, +inf the max, and NaN propagates
+        # into both and fails either comparison.  -0.0 passes (-0.0 >= 0).
+        if y.size and not (y.min() >= 0.0 and y.max() < np.inf):
             raise BoundSchemeError(
                 "upper bound y must be finite and non-negative everywhere"
             )

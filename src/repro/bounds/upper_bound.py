@@ -29,6 +29,7 @@ __all__ = [
     "top_p_of_rows",
     "top_p_of_columns",
     "top_p_arrays",
+    "top_p_row_stack",
     "determine_upper_bound",
     "upper_bound_grid_arrays",
     "exact_upper_bound",
@@ -157,6 +158,41 @@ def top_p_arrays(
     return found
 
 
+def top_p_row_stack(
+    groups, p: int, *, pool=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-p of every row of ``groups`` stacked, each group of matrices
+    followed by one zero row (what a padding vector holds).
+
+    Bitwise :func:`top_p_arrays` of each part along ``axis=1``: every
+    part's ``|values|`` is written into one scratch stack and one row
+    search covers them all (rows never influence each other).  Parts may
+    be transposed views, so an operand's columns and another's rows share
+    one search when they have the same length.
+    """
+    parts = [part for group in groups for part in group]
+    length = parts[0].shape[1]
+    if not 1 <= p <= length:
+        raise ValueError(f"p must be in 1..{length}, got {p}")
+    dtype = np.result_type(*parts)
+    if dtype.kind != "f":
+        dtype = np.dtype(np.float64)
+    total = sum(part.shape[0] for part in parts) + len(groups)
+    work = _take(pool, (total, length), dtype)
+    r0 = 0
+    for group in groups:
+        for part in group:
+            np.abs(part, out=work[r0 : r0 + part.shape[0]])
+            r0 += part.shape[0]
+        work[r0] = 0
+        r0 += 1
+    vals = np.empty((total, p))
+    idx = np.empty((total, p), dtype=np.intp)
+    _top_p_rows(work, p, vals, idx)
+    _give(pool, work)
+    return vals, idx
+
+
 def _chunk_rows(matrix: np.ndarray, multiple: int) -> int:
     """Rows per cache-sized chunk of ``matrix``, a multiple of ``multiple``."""
     row_bytes = max(1, matrix.shape[1] * matrix.itemsize)
@@ -170,18 +206,21 @@ def _top_p_rows(
     k, length = work.shape
     flat = work.reshape(-1)
     starts = np.arange(k) * length
-    best = np.argmax(work, axis=1)
-    if np.isnan(flat[starts + best]).any():
+    best = work.argmax(axis=1)
+    at = starts + best
+    if np.isnan(flat[at]).any():
         # np.argmax picks NaN first; Algorithm 1's ``>`` never does.
         work[np.isnan(work)] = -np.inf
-        best = np.argmax(work, axis=1)
+        best = work.argmax(axis=1)
+        at = starts + best
     for j in range(p):
         if j:
-            best = np.argmax(work, axis=1)
+            best = work.argmax(axis=1)
+            at = starts + best
         idx[:, j] = best
-        vals[:, j] = flat[starts + best]
+        vals[:, j] = flat[at]
         if j + 1 < p:
-            flat[starts + best] = -np.inf
+            flat[at] = -np.inf
 
 
 def _top_p_columns(
@@ -325,13 +364,14 @@ def upper_bound_grid_arrays(
     match = np.empty(shape, dtype=bool)
     for ri in range(row_vals.shape[1]):
         for ci in range(col_vals.shape[1]):
+            # No ``match.any()`` skip: index matches are common, and the
+            # test costs more than the two operations it would save.
             np.equal(row_idx[:, ri][:, None], col_idx[:, ci][None, :], out=match)
-            if np.any(match):
-                np.multiply(
-                    row_vals[:, ri][:, None], col_vals[:, ci][None, :],
-                    out=candidate,
-                )
-                np.maximum(out, candidate, out=out, where=match)
+            np.multiply(
+                row_vals[:, ri][:, None], col_vals[:, ci][None, :],
+                out=candidate,
+            )
+            np.maximum(out, candidate, out=out, where=match)
     return out
 
 

@@ -4,9 +4,9 @@
 single :func:`~repro.abft.multiply.aabft_matmul` call would rebuild from
 scratch:
 
-* **execution plans** — per-``(shape, dtype, config)`` layouts, scratch
-  workspaces and bound-scheme objects, LRU-cached (see
-  :mod:`repro.engine.plan`);
+* **execution plans** — per-call-signature dtype resolution, backend
+  negotiation, layouts, scratch workspaces and bound-scheme objects,
+  LRU-cached (see :mod:`repro.engine.plan`), one lookup per call;
 * **side products** — every route multiplies the raw operands once
   (``C = A @ B``, the result itself) and checks ``C``'s block sums against
   three thin checksum GEMMs (:mod:`repro.kernels.sideproduct`); operands
@@ -16,7 +16,8 @@ scratch:
   ``A @ B_i`` products (the iterative-solver pattern);
 * **checking** — tolerances are evaluated on dense grids through the
   vectorised provider paths (bitwise equal to the scalar per-comparison
-  loop, an order of magnitude faster);
+  loop, an order of magnitude faster), both grids of a check in one
+  buffer compared in one pass (:mod:`repro.abft.grids`);
 * **batching** — :meth:`MatmulEngine.execute_batch` runs a list of operand
   pairs under one :class:`~repro.engine.policy.ExecutionPolicy`: ``fused``
   (:mod:`repro.engine.fused`) multiplies each shared left operand against
@@ -42,7 +43,13 @@ import numpy as np
 
 from ..abft.checking import CheckReport, build_report, check_partitioned
 from ..abft.encoding import PartitionedLayout
-from ..kernels.encode_fused import fused_encode, interleave_operand
+from ..abft.grids import CheckGrids, check_reports
+from ..kernels.encode_fused import (
+    FusedEncodeResult,
+    fused_encode,
+    fused_encode_pair,
+    interleave_operand,
+)
 from ..kernels.online_fused import OnlineFusedOutcome, online_fused_matmul
 from ..kernels.sideproduct import (
     SideProducts,
@@ -60,6 +67,8 @@ from ..abft.providers import (
 from ..abft.result import AbftResult
 from ..backends.autotune import Autotuner, AutotuneCache
 from ..backends.registry import (
+    ENV_BACKEND,
+    ENV_FUSION,
     BackendRegistry,
     BackendSelection,
     default_registry,
@@ -70,7 +79,7 @@ from ..errors import ConfigurationError, ShapeError
 from ..fp.constants import LOW_PRECISION_NAMES, format_for_name
 from ..telemetry import MetricsRegistry
 from .config import AbftConfig
-from .plan import ExecutionPlan, PlanCache
+from .plan import ExecutionPlan, PlanCache, build_plan
 from .policy import ExecutionPolicy
 from .stats import EngineStats, StageCost, StageCosts
 
@@ -189,8 +198,13 @@ def encode_operand(
         pool=pool,
         checksums=checksums,
     )
+    return _handle(enc, config)
+
+
+def _handle(enc: FusedEncodeResult, config: AbftConfig) -> EncodedOperand:
+    """The :class:`EncodedOperand` of one encode result."""
     return EncodedOperand(
-        side=side,
+        side=enc.side,
         data=enc.data,
         checksums=enc.checksums,
         layout=enc.layout,
@@ -822,40 +836,18 @@ class MatmulEngine:
             )
 
     def _run(self, a, b, cfg: AbftConfig) -> AbftResult:
-        # --- resolve operands and the computation dtype -----------------
+        # --- resolve the call signature's plan --------------------------
         a_raw = a if isinstance(a, EncodedOperand) else _as_matrix(a)
         b_raw = b if isinstance(b, EncodedOperand) else _as_matrix(b)
-        storage_dtype, dtype = _resolve_storage_compute(
-            cfg, _operand_dtype(a_raw), _operand_dtype(b_raw)
-        )
-        quantize = storage_dtype != dtype
-        a_shape = a_raw.shape
-        b_shape = b_raw.shape
-        if a_shape[1] != b_shape[0]:
-            raise ShapeError(
-                f"inner dimensions disagree: A is {a_shape}, B is {b_shape}"
-            )
-        m, n = a_shape
-        q = b_shape[1]
-        cfg, selection_fallback, fused_fallback = self._negotiate(
-            cfg, m, n, q, dtype
-        )
-        if quantize and cfg.fusion == "fused":
-            # The low-precision path quantises the stored result between
-            # multiply and check, which the in-loop tile checks would miss.
-            self._m_fused_fallbacks.labels(reason="low_precision").inc()
-            fused_fallback = (
-                "fused online fell back to separate: low-precision storage "
-                "quantises the result after the multiply, so checks must "
-                "run on the stored bytes"
-            )
-            cfg = cfg.replace(fusion="separate", fused_tile_blocks=None)
-        plan, _hit = self._plans.get(m, n, q, dtype, cfg)
+        plan = self._plan(cfg, a_raw.dtype, b_raw.dtype, a_raw.shape, b_raw.shape)
+        cfg = plan.config
+        storage_dtype = plan.storage_dtype
+        quantize = storage_dtype != plan.dtype
+        fused_fallback = plan.fused_fallback
 
         # --- encode (or reuse) ------------------------------------------
         t0 = time.perf_counter()
-        enc_a = self._operand_handle(a_raw, "a", cfg, plan, dtype)
-        enc_b = self._operand_handle(b_raw, "b", cfg, plan, dtype)
+        enc_a, enc_b = self._encode_operands(a_raw, b_raw, cfg, plan)
         self._add_seconds("encode", time.perf_counter() - t0)
         provider = self._make_provider(cfg, plan, enc_a, enc_b)
 
@@ -914,10 +906,38 @@ class MatmulEngine:
             col_layout=plan.col_layout,
             provider=provider,
             backend=used_backend,
-            backend_fallback=selection_fallback or dispatch_fallback,
+            backend_fallback=plan.selection_fallback or dispatch_fallback,
             fused=fused_ran,
             fused_fallback=fused_fallback,
             products=sp,
+        )
+
+    def _encode_operands(
+        self, a, b, cfg: AbftConfig, plan: ExecutionPlan
+    ) -> tuple[EncodedOperand, EncodedOperand]:
+        """Validated handles for both operands: reused, or freshly encoded.
+
+        A small raw pair whose plan carries a joint search order is
+        encoded in one top-p pass (bitwise the per-operand encodes).
+        """
+        dtype = plan.dtype
+        if (
+            plan.pair_order is not None
+            and not isinstance(a, EncodedOperand)
+            and not isinstance(b, EncodedOperand)
+        ):
+            enc_a, enc_b = fused_encode_pair(
+                a.astype(dtype, copy=False),
+                b.astype(dtype, copy=False),
+                cfg.block_size,
+                p=cfg.top_p(plan.n),
+                order=plan.pair_order,
+                pool=plan.pool,
+            )
+            return _handle(enc_a, cfg), _handle(enc_b, cfg)
+        return (
+            self._operand_handle(a, "a", cfg, plan, dtype),
+            self._operand_handle(b, "b", cfg, plan, dtype),
         )
 
     def _operand_handle(
@@ -932,10 +952,79 @@ class MatmulEngine:
             operand.astype(dtype, copy=False), side, cfg, pool=plan.pool
         )
 
+    def _plan(
+        self, cfg: AbftConfig, a_dtype, b_dtype, a_shape, b_shape
+    ) -> ExecutionPlan:
+        """The execution plan of one call signature, built on a miss.
+
+        The key holds everything dtype resolution, negotiation and the
+        plan depend on: both operand dtypes and shapes, the config, the
+        ``AABFT_BACKEND`` / ``AABFT_FUSION`` pins, the autotune cache's
+        generation (bumped by every ``put`` and ``clear``) and the backend
+        registry's (bumped by every ``register``).  A hit replays
+        the fallback counters the negotiation incremented, so a fallback
+        is counted on every call, never only on the first.
+        """
+        environ = os.environ
+        key = (
+            a_dtype, b_dtype, a_shape, b_shape, cfg,
+            environ.get(ENV_BACKEND), environ.get(ENV_FUSION),
+            self._autotuner.cache.generation, self._backends.generation,
+        )
+        plan, hit = self._plans.get(
+            key,
+            lambda: self._build_plan(key, cfg, a_dtype, b_dtype, a_shape, b_shape),
+        )
+        if hit:
+            for counter in plan.replay:
+                counter.inc()
+        return plan
+
+    def _build_plan(
+        self, key, cfg: AbftConfig, a_dtype, b_dtype, a_shape, b_shape
+    ) -> ExecutionPlan:
+        """Resolve dtypes, negotiate and build the plan of one signature."""
+        storage_dtype, dtype = _resolve_storage_compute(cfg, a_dtype, b_dtype)
+        if a_shape[1] != b_shape[0]:
+            raise ShapeError(
+                f"inner dimensions disagree: A is {a_shape}, B is {b_shape}"
+            )
+        m, n = a_shape
+        q = b_shape[1]
+        replay: list = []
+        cfg, selection_fallback, fused_fallback = self._negotiate(
+            cfg, m, n, q, dtype, replay
+        )
+        if storage_dtype != dtype and cfg.fusion == "fused":
+            # The low-precision path quantises the stored result between
+            # multiply and check, which the in-loop tile checks would miss.
+            counter = self._m_fused_fallbacks.labels(reason="low_precision")
+            counter.inc()
+            replay.append(counter)
+            fused_fallback = (
+                "fused online fell back to separate: low-precision storage "
+                "quantises the result after the multiply, so checks must "
+                "run on the stored bytes"
+            )
+            cfg = cfg.replace(fusion="separate", fused_tile_blocks=None)
+        plan = build_plan(m, n, q, dtype, cfg)
+        plan.key = key
+        plan.storage_dtype = storage_dtype
+        plan.selection_fallback = selection_fallback
+        plan.fused_fallback = fused_fallback
+        plan.replay = tuple(replay)
+        return plan
+
     def _negotiate(
-        self, cfg: AbftConfig, m: int, n: int, q: int, dtype: np.dtype
+        self,
+        cfg: AbftConfig,
+        m: int,
+        n: int,
+        q: int,
+        dtype: np.dtype,
+        replay: list,
     ) -> tuple[AbftConfig, str | None, str | None]:
-        """Resolve ``backend="auto"`` / ``fusion="auto"`` for one call.
+        """Resolve ``backend="auto"`` / ``fusion="auto"`` for one signature.
 
         Returns the *effective* config — carrying a concrete backend,
         tile and fusion strategy (``"fused"`` or ``"separate"``, never
@@ -946,7 +1035,8 @@ class MatmulEngine:
         rejected backend candidate falls back to ``numpy`` and is counted
         in ``abft_backend_fallbacks_total``; a rejected fused request
         falls back to separate and is counted in
-        ``abft_fused_fallbacks_total``.
+        ``abft_fused_fallbacks_total``; every counter incremented is
+        appended to ``replay``.
         """
         selection: BackendSelection = negotiate(
             cfg, m, n, q, dtype,
@@ -955,16 +1045,20 @@ class MatmulEngine:
         )
         fallback_text = None
         if selection.fallback_from is not None:
-            self._m_backend_fallbacks.labels(
+            counter = self._m_backend_fallbacks.labels(
                 backend=selection.fallback_from, reason="selection"
-            ).inc()
+            )
+            counter.inc()
+            replay.append(counter)
             fallback_text = (
                 f"selection fell back from {selection.fallback_from!r} "
                 f"to 'numpy': {selection.fallback_reason}"
             )
         fused_fallback_text = None
         if selection.fusion_fallback_reason is not None:
-            self._m_fused_fallbacks.labels(reason="negotiation").inc()
+            counter = self._m_fused_fallbacks.labels(reason="negotiation")
+            counter.inc()
+            replay.append(counter)
             fused_fallback_text = (
                 "fused online fell back to separate: "
                 f"{selection.fusion_fallback_reason}"
@@ -1101,49 +1195,51 @@ class MatmulEngine:
     ) -> CheckReport:
         """Vectorised full check; falls back to the scalar path when the
         provider has no array form."""
-        grids = self._provider_grids(provider, plan)
-        if grids is None:
+        eps = self._provider_grids(provider, plan)
+        if eps is None:
             return check_partitioned(
                 assemble_full_checksum(sp, plan.row_layout, plan.col_layout),
                 plan.row_layout, plan.col_layout, provider,
             )
-        col_eps, row_eps = grids
-        col_disc, row_disc = side_discrepancies(
-            sp, plan.row_layout, plan.col_layout
+        disc = CheckGrids.empty(plan.row_layout, plan.col_layout)
+        side_discrepancies(
+            sp, plan.row_layout, plan.col_layout,
+            col_out=disc.col, row_out=disc.row,
         )
-        report = build_report(
-            col_disc, col_eps, row_disc, row_eps,
-            plan.row_layout, plan.col_layout,
-        )
-        # Reports keep only the discrepancy arrays (and scalar epsilons on
-        # findings), so the dense tolerance grids recycle.
-        plan.pool.give(col_eps)
-        plan.pool.give(row_eps)
+        (report,) = check_reports(disc, eps, plan.row_layout, plan.col_layout)
+        # Reports keep only the discrepancy grids (and scalar epsilons on
+        # findings), so the tolerance buffer recycles.
+        plan.pool.give(eps.buffer)
         return report
 
     def _provider_grids(self, provider, plan: ExecutionPlan):
-        """The provider's dense tolerance grids, or ``None`` without them.
+        """The provider's tolerance :class:`CheckGrids`, or ``None``.
 
         ``pool=`` is offered first, with a TypeError fallback for
-        third-party providers predating it.
+        third-party providers predating it; a grid pair that is not
+        one buffer already is copied into one.
         """
         epsilon_grids = getattr(provider, "epsilon_grids", None)
         if epsilon_grids is None:
             return None
         try:
-            return epsilon_grids(
+            grids = epsilon_grids(
                 plan.row_layout, plan.col_layout, pool=plan.pool
             )
         except TypeError:
-            return epsilon_grids(plan.row_layout, plan.col_layout)
+            grids = epsilon_grids(plan.row_layout, plan.col_layout)
+        if grids is None or isinstance(grids, CheckGrids):
+            return grids
+        col_eps, row_eps = grids
+        return CheckGrids.pack(col_eps, row_eps, plan.row_layout, plan.col_layout)
 
     def _fused_pair(self, plan, cfg, enc_a, enc_b, grids):
         """One pair through the fused online tile loop.
 
         Returns ``(products, report, backend, fallback, check_seconds)``
         and charges the multiply stage; the caller charges the check
-        seconds (the kernel self-times its in-loop checks).  The grids go
-        back to the pool.
+        seconds (the kernel self-times its in-loop checks).  The grids'
+        buffer goes back to the pool.
         """
         col_eps, row_eps = grids
         t0 = time.perf_counter()
@@ -1156,8 +1252,7 @@ class MatmulEngine:
         )
         t0 = time.perf_counter()
         report = self._fused_report(outcome, col_eps, row_eps, plan)
-        plan.pool.give(col_eps)
-        plan.pool.give(row_eps)
+        plan.pool.give(grids.buffer)
         check_s = outcome.check_seconds + (time.perf_counter() - t0)
         return outcome.products, report, used, fallback, check_s
 

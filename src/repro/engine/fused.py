@@ -14,12 +14,13 @@ mode ``auto`` picks whenever :func:`fused_supported` holds) instead of
   by side (the stack the encode built, when it holds exactly the group),
   plus per-pair thin checksum products (:mod:`repro.kernels.sideproduct`)
   and one discrepancy pass over the stacked products, sliced per pair;
-* **batched tolerance grids** — upper-bound grids and epsilon arrays for
-  all pairs sharing a left operand are evaluated through single
-  :func:`~repro.bounds.upper_bound.upper_bound_grid_arrays` /
-  ``epsilon_array`` calls over the concatenated column top-p data;
-* **single dispatch** — one plan lookup, one config resolution and one
-  set of stage timers for the whole batch.
+* **batched tolerance grids** — the tolerance grids of all pairs sharing
+  a left operand are built by one
+  :func:`~repro.abft.grids.aabft_tolerance_grids` call over the
+  concatenated column top-p data, and compared against the group's
+  discrepancy grids in one pass;
+* **single dispatch** — one plan lookup (which carries the negotiated
+  config) and one set of stage timers for the whole batch.
 
 Results — data, full-checksum matrices, reports, tolerances — are
 **bitwise identical** to sequential :meth:`~repro.engine.MatmulEngine.
@@ -49,10 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..abft.checking import build_report
+from ..abft.grids import CheckGrids, aabft_tolerance_grids, check_reports
 from ..abft.providers import AABFTEpsilonProvider
 from ..abft.result import AbftResult
-from ..bounds.upper_bound import upper_bound_grid_arrays
 from ..kernels.encode_fused import fused_encode
 from ..kernels.sideproduct import SideProducts, side_discrepancies
 
@@ -62,6 +62,7 @@ __all__ = [
     "fused_supported",
     "group_products",
     "group_reports",
+    "group_tolerances",
     "run_fused",
 ]
 
@@ -252,37 +253,45 @@ def _probe(plan, stacked: SideProducts, items: list) -> bool:
     return True
 
 
-def group_reports(engine, plan, cfg, enc_a, enc_bs, group: GroupProducts):
-    """Check reports of one group: batched grids, one discrepancy pass."""
+def group_tolerances(plan, cfg, enc_a, enc_bs) -> CheckGrids:
+    """The tolerance grids of every pair of one group, item after item."""
     count = len(enc_bs)
-    col_eps, row_eps, backing = _batch_epsilon_grids(
-        [enc_a] * count, enc_bs, cfg, plan
+    col_vals = enc_bs[0].top_values
+    col_idx = enc_bs[0].top_indices
+    if count > 1:
+        col_vals = np.concatenate([eb.top_values for eb in enc_bs])
+        col_idx = np.concatenate([eb.top_indices for eb in enc_bs])
+    return aabft_tolerance_grids(
+        plan.scheme,
+        enc_a.top_values, enc_a.top_indices, col_vals, col_idx,
+        plan.row_layout, plan.col_layout, plan.n, cfg.epsilon_floor,
+        items=count, pool=plan.pool,
     )
+
+
+def group_reports(engine, plan, cfg, enc_a, enc_bs, group: GroupProducts):
+    """Check reports of one group: one tolerance build, one discrepancy
+    buffer and one comparison for all of its pairs."""
+    count = len(enc_bs)
+    eps = group_tolerances(plan, cfg, enc_a, enc_bs)
+    disc = CheckGrids.empty(plan.row_layout, plan.col_layout, items=count)
     if group.stack is not None:
-        col_cat, row_cat = side_discrepancies(
-            group.stack, plan.row_layout, plan.col_layout, items=count
+        side_discrepancies(
+            group.stack, plan.row_layout, plan.col_layout, items=count,
+            col_out=disc.col, row_out=disc.row,
         )
-        w = plan.col_layout.encoded_rows
-        nb = plan.col_layout.num_blocks
-        discs = [
-            (col_cat[:, j * w : (j + 1) * w], row_cat[:, j * nb : (j + 1) * nb])
-            for j in range(count)
-        ]
     else:
-        discs = [
-            side_discrepancies(sp, plan.row_layout, plan.col_layout)
-            for sp in group.items
-        ]
-    reports = [
-        build_report(
-            cd, ce, rd, re_, plan.row_layout, plan.col_layout
-        )
-        for (cd, rd), ce, re_ in zip(discs, col_eps, row_eps)
-    ]
-    # Reports keep only discrepancy arrays; the batched tolerance grids
-    # (the backing stores of the per-pair slices) recycle.
-    for buf in backing:
-        plan.pool.give(buf)
+        for j, sp in enumerate(group.items):
+            col_out, row_out = disc.item(j, count)
+            side_discrepancies(
+                sp, plan.row_layout, plan.col_layout,
+                col_out=col_out, row_out=row_out,
+            )
+    reports = check_reports(
+        disc, eps, plan.row_layout, plan.col_layout, items=count
+    )
+    # Reports keep only discrepancy views; the tolerance buffer recycles.
+    plan.pool.give(eps.buffer)
     return reports
 
 
@@ -323,24 +332,21 @@ def run_fused(engine, a_items, b_items, cfg) -> list:
 
     Preconditions (:func:`fused_supported`) must hold.
     """
-    from .engine import EncodedOperand, _operand_dtype, _resolve_dtype
+    from .engine import EncodedOperand
 
-    dtype = _resolve_dtype(*[_operand_dtype(x) for x in a_items + b_items])
-    first_a, first_b = a_items[0], b_items[0]
-    m, n = (
-        first_a.shape
-        if isinstance(first_a, EncodedOperand)
-        else np.asarray(first_a).shape
+    first_a, first_b = (
+        x if isinstance(x, EncodedOperand) else np.asarray(x)
+        for x in (a_items[0], b_items[0])
     )
-    q = (
-        first_b.shape[1]
-        if isinstance(first_b, EncodedOperand)
-        else np.asarray(first_b).shape[1]
+    # Every pair resolves to the same computation dtype (fused_supported),
+    # so the first pair's signature carries the batch's plan.
+    plan = engine._plan(
+        cfg, first_a.dtype, first_b.dtype, first_a.shape, first_b.shape
     )
-    cfg, selection_fallback, fused_fallback = engine._negotiate(
-        cfg, m, n, q, dtype
+    cfg, dtype = plan.config, plan.dtype
+    selection_fallback, fused_fallback = (
+        plan.selection_fallback, plan.fused_fallback
     )
-    plan, _hit = engine._plans.get(m, n, q, dtype, cfg)
 
     # --- encode (deduplicated; distinct right operands stacked) ---------
     t0 = time.perf_counter()
@@ -350,33 +356,34 @@ def run_fused(engine, a_items, b_items, cfg) -> list:
 
     fused_online = cfg.fusion == "fused"
     outputs: list = [None] * len(a_items)
+    groups: dict[int, list[int]] = {}
+    for i, ea in enumerate(enc_a):
+        groups.setdefault(id(ea), []).append(i)
     if fused_online:
         # --- fused online multiply+check, one tile loop per pair --------
         t0 = time.perf_counter()
-        col_eps, row_eps, backing = _batch_epsilon_grids(
-            enc_a, enc_b, cfg, plan
-        )
-        check_s = time.perf_counter() - t0  # grid build is check work
-        for i, (ea, eb, ce, re_) in enumerate(
-            zip(enc_a, enc_b, col_eps, row_eps)
-        ):
-            outcome, used, fallback = engine._fused_online(
-                plan, cfg, ea, eb, ce, re_
-            )
+        check_s = 0.0
+        for idx in groups.values():
             t1 = time.perf_counter()
-            report = engine._fused_report(outcome, ce, re_, plan)
-            check_s += outcome.check_seconds + (time.perf_counter() - t1)
-            outputs[i] = (outcome.products, report, used, fallback, False)
-        for buf in backing:
-            plan.pool.give(buf)
+            eps = group_tolerances(
+                plan, cfg, enc_a[idx[0]], [enc_b[i] for i in idx]
+            )
+            check_s += time.perf_counter() - t1  # grid build is check work
+            for j, i in enumerate(idx):
+                ce, re_ = eps.item(j, len(idx))
+                outcome, used, fallback = engine._fused_online(
+                    plan, cfg, enc_a[i], enc_b[i], ce, re_
+                )
+                t1 = time.perf_counter()
+                report = engine._fused_report(outcome, ce, re_, plan)
+                check_s += outcome.check_seconds + (time.perf_counter() - t1)
+                outputs[i] = (outcome.products, report, used, fallback, False)
+            plan.pool.give(eps.buffer)
         engine._add_seconds(
             "multiply", max(0.0, time.perf_counter() - t0 - check_s)
         )
         engine._add_seconds("check", check_s)
     else:
-        groups: dict[int, list[int]] = {}
-        for i, ea in enumerate(enc_a):
-            groups.setdefault(id(ea), []).append(i)
         # --- multiply: one side-product call per shared left operand ----
         t0 = time.perf_counter()
         stacked_b, stack_handles = stack or (None, ())
@@ -469,65 +476,3 @@ def _resolve_side(engine, items, side, cfg, plan, dtype) -> list:
         seen.add(key)
         out.append(encoded[key])
     return out, stack
-
-
-def _batch_epsilon_grids(enc_a, enc_b, cfg, plan):
-    """Per-pair tolerance grids, evaluated batched per distinct pair.
-
-    Grid entries are elementwise functions of (row top-p, column top-p)
-    pairs, so evaluating pairs sharing a left operand through one
-    concatenated :func:`upper_bound_grid_arrays` / ``epsilon_array`` call
-    and slicing yields bitwise the per-pair grids.
-    """
-    row_layout, col_layout = plan.row_layout, plan.col_layout
-    cs_rows = row_layout.all_checksum_indices()
-    cs_cols = col_layout.all_checksum_indices()
-
-    pair_keys = [(id(ea), id(eb)) for ea, eb in zip(enc_a, enc_b)]
-    distinct: dict[tuple[int, int], int] = {}
-    d_a, d_b = [], []
-    for key, ea, eb in zip(pair_keys, enc_a, enc_b):
-        if key not in distinct:
-            distinct[key] = len(d_a)
-            d_a.append(ea)
-            d_b.append(eb)
-
-    col_grids: list = [None] * len(d_a)
-    row_grids: list = [None] * len(d_a)
-    backing: list[np.ndarray] = []
-    by_a: dict[int, list[int]] = {}
-    for di, ea in enumerate(d_a):
-        by_a.setdefault(id(ea), []).append(di)
-    width = col_layout.encoded_rows
-    blocks = col_layout.num_blocks
-    pool = plan.pool
-    for dis in by_a.values():
-        ea = d_a[dis[0]]
-        col_vals = np.concatenate([d_b[di].top_values for di in dis])
-        col_idx = np.concatenate([d_b[di].top_indices for di in dis])
-        cs_vals = np.concatenate([d_b[di].top_values[cs_cols] for di in dis])
-        cs_idx = np.concatenate([d_b[di].top_indices[cs_cols] for di in dis])
-        col_y = pool.take((cs_rows.size, col_vals.shape[0]))
-        upper_bound_grid_arrays(
-            ea.top_values[cs_rows], ea.top_indices[cs_rows],
-            col_vals, col_idx, out=col_y,
-        )
-        row_y = pool.take((ea.top_values.shape[0], cs_vals.shape[0]))
-        upper_bound_grid_arrays(
-            ea.top_values, ea.top_indices, cs_vals, cs_idx, out=row_y
-        )
-        col_e = plan.scheme.epsilon_array(plan.n, col_y)
-        row_e = plan.scheme.epsilon_array(plan.n, row_y)
-        pool.give(col_y)
-        pool.give(row_y)
-        backing.extend((col_e, row_e))
-        if cfg.epsilon_floor > 0.0:
-            np.maximum(col_e, cfg.epsilon_floor, out=col_e)
-            np.maximum(row_e, cfg.epsilon_floor, out=row_e)
-        for j, di in enumerate(dis):
-            col_grids[di] = col_e[:, j * width : (j + 1) * width]
-            row_grids[di] = row_e[:, j * blocks : (j + 1) * blocks]
-
-    col_eps = [col_grids[distinct[key]] for key in pair_keys]
-    row_eps = [row_grids[distinct[key]] for key in pair_keys]
-    return col_eps, row_eps, backing

@@ -1,10 +1,12 @@
-"""Cached per-(shape, dtype, config) execution plans.
+"""Cached per-call-signature execution plans.
 
-Building a protected multiplication involves shape-dependent setup that is
-identical across repeated same-shape calls: partitioned layouts for both
+Building a protected multiplication involves setup that is identical
+across repeated calls of one signature: the ``(storage, compute)`` dtype
+resolution, backend and fusion negotiation, partitioned layouts for both
 encoded axes, the bound-scheme object and scratch workspaces.
 :class:`ExecutionPlan` bundles that setup; :class:`PlanCache` keeps plans in
-an LRU so iterative solvers and batch campaigns pay for it once.
+an LRU keyed by the call signature, so iterative solvers and batch
+campaigns pay for it once.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from ..bounds.fixed import FixedBound
 from ..bounds.probabilistic import ProbabilisticBound
 from ..bounds.sea import SEABound
 from ..fp.constants import FloatFormat, format_for_dtype, format_for_name
+from ..kernels.encode_fused import pair_search_order
 from .config import AbftConfig
 
 __all__ = ["PlanKey", "ExecutionPlan", "PlanCache", "WorkspacePool", "build_plan"]
 
-#: ``(m, n, q, dtype-name, config)`` — everything a plan depends on.
+#: The engine's call signature (see ``MatmulEngine._plan``), or
+#: ``(m, n, q, dtype-name, config)`` for plans built by :func:`build_plan`.
 PlanKey = tuple
 
 #: Workspaces above this size are never pooled (a handful of retained
@@ -124,8 +128,22 @@ class ExecutionPlan:
         The compute backend the GEMM stage dispatches through and the
         result-tile edge of the canonical tile list it executes
         (``None`` = one full-result tile).  The engine resolves
-        ``backend="auto"`` through capability negotiation *before* the
-        plan lookup, so plans always carry a concrete backend.
+        ``backend="auto"`` through capability negotiation when it builds
+        the plan, so plans always carry a concrete backend.
+    storage_dtype:
+        The dtype results are stored in (``dtype`` unless a low-precision
+        storage format computes in float32).
+    selection_fallback / fused_fallback:
+        The never-silent backend-selection and fusion fallback texts the
+        negotiation produced (``None`` when the request was honoured).
+    replay:
+        The fallback counters negotiation incremented; the engine
+        increments them again on every call that reuses the plan.
+    pair_order:
+        Where each encoded vector of both operands sits in the stacked
+        top-p search of a small raw pair (:func:`~repro.kernels.
+        encode_fused.fused_encode_pair`); ``None`` when the pair is not
+        searched jointly (non-``aabft`` schemes, large operands).
     """
 
     key: PlanKey
@@ -143,6 +161,11 @@ class ExecutionPlan:
     pool: WorkspacePool = field(repr=False, default=None)
     backend_name: str = "numpy"
     tile: int | None = None
+    storage_dtype: np.dtype | None = None
+    selection_fallback: str | None = None
+    fused_fallback: str | None = None
+    replay: tuple = ()
+    pair_order: np.ndarray | None = None
 
     def backend(self):
         """The shared :class:`~repro.backends.base.Backend` instance."""
@@ -194,6 +217,12 @@ def build_plan(
             "numpy" if config.backend == "auto" else config.backend
         ),
         tile=config.gemm_tile,
+        storage_dtype=np.dtype(dtype),
+        pair_order=(
+            pair_search_order(m, n, q, dtype, bs)
+            if config.scheme == "aabft"
+            else None
+        ),
     )
     plan.pool = WorkspacePool()
     return plan
@@ -212,15 +241,13 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
 
-    def get(
-        self, m: int, n: int, q: int, dtype: np.dtype, config: AbftConfig
-    ) -> tuple[ExecutionPlan, bool]:
-        """The plan for the given key, building it on a miss.
+    def get(self, key: PlanKey, build) -> tuple[ExecutionPlan, bool]:
+        """The plan for ``key``, built by ``build()`` on a miss.
 
         Returns ``(plan, hit)`` where ``hit`` reports whether the plan was
-        served from cache.
+        served from cache.  A raising ``build`` caches nothing and counts
+        no miss.
         """
-        key = (m, n, q, np.dtype(dtype).name, config)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -229,7 +256,7 @@ class PlanCache:
                 return plan, True
         # Build outside the lock: plans are deterministic, so a racing
         # duplicate build is wasteful but harmless.
-        plan = build_plan(m, n, q, dtype, config)
+        plan = build()
         with self._lock:
             self.misses += 1
             self._plans[key] = plan

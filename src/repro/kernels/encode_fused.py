@@ -30,16 +30,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..abft.encoding import PartitionedLayout
-from ..bounds.upper_bound import top_p_arrays
+from ..bounds.upper_bound import top_p_arrays, top_p_row_stack
 from ..errors import ConfigurationError
 from .sideproduct import block_checksums, interleave_rows
 
-__all__ = ["FusedEncodeResult", "fused_encode"]
+__all__ = [
+    "FusedEncodeResult",
+    "fused_encode",
+    "fused_encode_pair",
+    "pair_search_order",
+]
 
 #: Operand bytes up to which the scheme data is computed in one pass over
-#: the operand's and its checksums' vectors side by side.  Over the
-#: gemm-small shape table it saves 62 of 285 us of encode per product
-#: (2-CPU x86 host); a large operand would pay for the concatenated copy.
+#: the operand's and its checksums' vectors side by side, and (for the
+#: pair's bytes together) a raw pair's two operands in one pass
+#: (:func:`fused_encode_pair`).  Over the gemm-small shape cycle the joint
+#: pair search cuts the engine's encode stage from 300 to 222 us per
+#: product (2-CPU x86 host, best of 3); a large operand would pay for the
+#: stacked copy.
 _SMALL_OPERAND_BYTES = 1 << 18
 
 
@@ -143,39 +151,31 @@ def fused_encode(
         raise ConfigurationError("p and norms are mutually exclusive")
     if side == "a" and items != 1:
         raise ConfigurationError("only right operands stack side by side")
-    matrix = np.asarray(matrix)
-    axis = 1 if side == "a" else 0
-    width = matrix.shape[0] if side == "a" else matrix.shape[1] // items
-    layout = PartitionedLayout(
-        width + (-width) % block_size, block_size
+    matrix, width, layout, checksums = _layout_and_checksums(
+        matrix, side, block_size, checksums, items
     )
-    if checksums is None:
-        if side == "a":
-            checksums = block_checksums(matrix, "a", block_size)
-        else:
-            # Item j's rows are the j-th width-long run of every row.
-            k = matrix.shape[0]
-            checksums = block_checksums(
-                np.ascontiguousarray(matrix).reshape(k * items, width),
-                "b", block_size,
-            ).reshape(k, items * layout.num_blocks)
+    axis = 1 if side == "a" else 0
     top_vals = top_idx = vec_norms = None
-    if (p is not None or norms) and matrix.nbytes <= _SMALL_OPERAND_BYTES:
+    small = matrix.nbytes <= _SMALL_OPERAND_BYTES
+    if p is not None and small:
         # A small operand is searched in one pass over its vectors, its
         # checksum vectors and one zero vector (what a padding vector
-        # holds) side by side, then gathered into encoded order: fewer
+        # holds) stacked as rows, then gathered into encoded order: fewer
         # calls than two searches and two interleaves.
+        vals, idx = top_p_row_stack(
+            [_search_rows(matrix, checksums, side)], p, pool=pool
+        )
+        order = _encoded_order(layout, width, items)
+        top_vals, top_idx = vals[order], idx[order]
+    elif norms and small:
+        # Norms sum along the operand's own axis: stacking columns as rows
+        # would change the summation order.
         cat_axis = 1 - axis
         zero_shape = list(matrix.shape)
         zero_shape[cat_axis] = 1
         zero = np.zeros(zero_shape, dtype=matrix.dtype)
         vectors = np.concatenate((matrix, checksums, zero), axis=cat_axis)
-        order = _encoded_order(layout, width, items)
-        if p is not None:
-            vals, idx = top_p_arrays(vectors, p, axis=axis, pool=pool)
-            top_vals, top_idx = vals[order], idx[order]
-        else:
-            vec_norms = _norms(vectors, axis)[order]
+        vec_norms = _norms(vectors, axis)[_encoded_order(layout, width, items)]
     elif p is not None:
         data_vals, data_idx = top_p_arrays(matrix, p, axis=axis, pool=pool)
         cs_vals, cs_idx = top_p_arrays(checksums, p, axis=axis, pool=pool)
@@ -201,6 +201,103 @@ def fused_encode(
         top_indices=top_idx,
         norms=vec_norms,
     )
+
+
+def fused_encode_pair(
+    a: np.ndarray,
+    b: np.ndarray,
+    block_size: int,
+    *,
+    p: int,
+    order: np.ndarray,
+    pool=None,
+) -> tuple[FusedEncodeResult, FusedEncodeResult]:
+    """Encode a small raw pair ``a @ b`` for ``aabft`` in one top-p pass.
+
+    :func:`fused_encode`'s small-operand search over both operands at
+    once, so the result is bitwise two :func:`fused_encode` calls (``"a"``
+    for ``a``, ``"b"`` for ``b``): every searched vector has the inner
+    length, so ``a``'s search rows and ``b``'s share one stack, and
+    ``order`` (:func:`pair_search_order`, kept on the execution plan)
+    gathers the encoded rows of ``a`` followed by the encoded columns of
+    ``b``.
+    """
+    a, _, row_layout, ea = _layout_and_checksums(a, "a", block_size)
+    b, _, col_layout, eb = _layout_and_checksums(b, "b", block_size)
+    vals, idx = top_p_row_stack(
+        [_search_rows(a, ea, "a"), _search_rows(b, eb, "b")], p, pool=pool
+    )
+    vals, idx = vals[order], idx[order]
+    split = row_layout.encoded_rows
+    return (
+        FusedEncodeResult(
+            side="a", data=a, checksums=ea, layout=row_layout,
+            top_values=vals[:split], top_indices=idx[:split],
+        ),
+        FusedEncodeResult(
+            side="b", data=b, checksums=eb, layout=col_layout,
+            top_values=vals[split:], top_indices=idx[split:],
+        ),
+    )
+
+
+def pair_search_order(
+    m: int, n: int, q: int, dtype, block_size: int
+) -> np.ndarray | None:
+    """The gather order of :func:`fused_encode_pair`'s stacked search:
+    ``a``'s :func:`_encoded_order`, then ``b``'s offset past ``a``'s
+    ``m + nb`` vectors and zero row.  ``None`` when the
+    ``(m x n) @ (n x q)`` pair of ``dtype`` is larger than
+    :data:`_SMALL_OPERAND_BYTES`, where the operands are searched one by
+    one.
+    """
+    if (m + q) * n * np.dtype(dtype).itemsize > _SMALL_OPERAND_BYTES:
+        return None
+    row_layout = _layout(m, block_size)
+    order = np.concatenate((
+        _encoded_order(row_layout, m, 1),
+        _encoded_order(_layout(q, block_size), q, 1)
+        + (m + row_layout.num_blocks + 1),
+    ))
+    order.flags.writeable = False
+    return order
+
+
+def _layout(width: int, block_size: int) -> PartitionedLayout:
+    """The layout of ``width`` vectors zero-padded to whole blocks."""
+    return PartitionedLayout(width + (-width) % block_size, block_size)
+
+
+def _layout_and_checksums(
+    matrix: np.ndarray,
+    side: str,
+    block_size: int,
+    checksums: np.ndarray | None = None,
+    items: int = 1,
+) -> tuple[np.ndarray, int, PartitionedLayout, np.ndarray]:
+    """``(matrix, width, layout, checksums)`` of one operand (or a stack of
+    ``items`` right operands); ``checksums`` is computed unless given."""
+    matrix = np.asarray(matrix)
+    width = matrix.shape[0] if side == "a" else matrix.shape[1] // items
+    layout = _layout(width, block_size)
+    if checksums is None:
+        if side == "a":
+            checksums = block_checksums(matrix, "a", block_size)
+        else:
+            # Item j's rows are the j-th width-long run of every row.  The
+            # C-order copy fixes the summation order: numpy sums a strided
+            # (transposed or Fortran-order) block in a different order.
+            k = matrix.shape[0]
+            checksums = block_checksums(
+                np.ascontiguousarray(matrix).reshape(k * items, width),
+                "b", block_size,
+            ).reshape(k, items * layout.num_blocks)
+    return matrix, width, layout, checksums
+
+
+def _search_rows(matrix: np.ndarray, checksums: np.ndarray, side: str) -> tuple:
+    """An operand's searched vectors and its checksum vectors, as rows."""
+    return (matrix, checksums) if side == "a" else (matrix.T, checksums.T)
 
 
 @functools.lru_cache(maxsize=256)

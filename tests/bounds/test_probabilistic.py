@@ -171,6 +171,43 @@ class TestProbabilisticBoundScheme:
         assert "fma" in text
 
 
+class TestEpsilonArrayValidation:
+    """``epsilon_array`` rejects exactly what the scalar ``epsilon`` does."""
+
+    @pytest.mark.parametrize(
+        "bad", [-1e-300, -1.0, -np.inf, np.inf, np.nan]
+    )
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    def test_rejects_negative_and_non_finite(self, bad, where):
+        y = np.linspace(0.0, 2.0, 8)
+        y[where] = bad
+        with pytest.raises(BoundSchemeError):
+            ProbabilisticBound().epsilon_array(40, y)
+        with pytest.raises(BoundSchemeError):
+            ProbabilisticBound().epsilon(
+                BoundContext(n=40, m=1, upper_bound=float(bad))
+            )
+
+    def test_negative_zero_is_accepted(self):
+        y = np.array([-0.0, 0.0, 1.0])
+        eps = ProbabilisticBound().epsilon_array(40, y)
+        scalar = ProbabilisticBound().epsilon(
+            BoundContext(n=40, m=1, upper_bound=-0.0)
+        )
+        assert eps[0] == scalar == 0.0
+
+    def test_grids_match_scalar_bitwise(self):
+        y = np.array([[0.0, 1e-300, 0.5], [1.0, 3.25, 1e150]])
+        scheme = ProbabilisticBound()
+        grid = scheme.epsilon_array(64, y)
+        for (i, j), value in np.ndenumerate(y):
+            ctx = BoundContext(n=64, m=1, upper_bound=float(value))
+            assert grid[i, j] == scheme.epsilon(ctx)
+
+    def test_empty_grid_is_accepted(self):
+        assert ProbabilisticBound().epsilon_array(8, np.empty(0)).size == 0
+
+
 class TestEmpiricalCoverage:
     """The 3-sigma bound must actually contain observed rounding errors."""
 
