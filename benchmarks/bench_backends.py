@@ -6,8 +6,8 @@ cache and asserts the selected ``(backend, tile)`` never loses to the
 plain numpy reference past the hysteresis margin — by construction the
 tuner only leaves ``numpy`` when a candidate *beats* it, so a slower
 winner is a bug, not noise.  It also exercises the never-silent fallback
-path (a pinned-but-unavailable backend must be recorded on the result
-and counted in telemetry) and verifies cross-backend bitwise identity
+path (a pinned backend that is not registered must be recorded on the
+result and counted in telemetry) and verifies cross-backend bitwise identity
 at the tuned tile.
 
 Run directly::
@@ -106,19 +106,15 @@ def tune_shapes(shapes, repeats, registry, tmp_cache):
 
 
 def exercise_fallback(registry: MetricsRegistry) -> dict:
-    """Pin an unavailable backend; the fallback must be loud everywhere."""
+    """Pin an unregistered backend; the fallback must be loud everywhere."""
     engine = MatmulEngine(
         AbftConfig(block_size=BLOCK_SIZE, p=P), registry=registry
     )
     rng = np.random.default_rng(20140623)
     a = rng.uniform(-1, 1, (128, 128))
     b = rng.uniform(-1, 1, (128, 128))
-    cupy_available, _ = default_registry().get("cupy").availability()
-    if cupy_available:  # pragma: no cover - CUDA host
-        print("  cupy is available here; fallback exercised via a fake pin")
-        pinned = "definitely-not-a-backend"
-    else:
-        pinned = "cupy"
+    pinned = "definitely-not-a-backend"
+    assert pinned not in default_registry()
     result = engine.matmul(a, b, config=AbftConfig(backend=pinned))
     assert result.backend == "numpy", "fallback must land on numpy"
     assert result.backend_fallback, "fallback must be recorded on the result"

@@ -21,16 +21,6 @@ verifies the fast kernels bitwise against the reference implementations:
 Acceptance: warm per-call encode+check time at most ~1/3 of the
 ``BENCH_engine.json`` stage baseline.
 
-The fused-online row (PR 9) times the same warm encoded-handle loop at
-``FUSED_SIZE``² in float32 with ``fusion="separate"`` vs ``fusion="fused"``
-(degenerate single-tile mode — identical GEMM bytes), after verifying the
-fused result and discrepancy grids bitwise against the separate path.  The
-fused in-loop check reduces the float32 result with a float64 accumulator
-instead of materialising two full float64 casts, so the per-call
-encode+check cost must beat the separate path by ``FUSED_FLOOR`` — and the
-autotuner must demonstrably pick ``fused`` for the float32 shape where it
-wins (float64 is check-parity, recorded alongside).
-
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_encode_check.py
@@ -50,7 +40,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -62,7 +51,6 @@ from repro.abft.encoding import (
     encode_partitioned_rows_reference,
 )
 from repro.abft.providers import AABFTEpsilonProvider
-from repro.backends.autotune import Autotuner, AutotuneCache
 from repro.bounds.probabilistic import ProbabilisticBound
 from repro.bounds.upper_bound import top_p_of_columns, top_p_of_rows
 from repro.engine import AbftConfig, ExecutionPolicy, MatmulEngine
@@ -78,10 +66,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_encode.json"
 ENGINE_BASELINE = REPO_ROOT / "BENCH_engine.json"
 TARGET_RATIO = 1.0 / 3.0
-FUSED_SIZE = 1024
-FUSED_REPEATS = 30
-FUSED_QUICK_REPEATS = 8
-FUSED_FLOOR = 1.25
 
 
 def reference_stage_times(a, bs) -> tuple[float, float]:
@@ -187,84 +171,6 @@ def stage_delta(engine, before: dict) -> dict:
     }
 
 
-def fused_stage_times(repeats: int) -> dict:
-    """Warm encoded-handle loop at ``FUSED_SIZE``² float32: separate vs fused.
-
-    Operands are encoded once per engine, so the per-call ABFT cost is the
-    check stage the fused path targets.  Both engines run the identical
-    workload interleaved (drift cancels), after the fused result bytes and
-    discrepancy grids are verified bitwise against the separate path.
-    """
-    rng = np.random.default_rng(20140623)
-    a = rng.uniform(-1, 1, (FUSED_SIZE, FUSED_SIZE)).astype(np.float32)
-    b = rng.uniform(-1, 1, (FUSED_SIZE, FUSED_SIZE)).astype(np.float32)
-    engines = {}
-    for fusion in ("separate", "fused"):
-        engine = MatmulEngine(
-            AbftConfig(
-                block_size=BLOCK_SIZE, p=P,
-                fusion=fusion, fused_tile_blocks=None,
-            )
-        )
-        ha = engine.encode(a, side="a")
-        hb = engine.encode(b, side="b")
-        res = engine.matmul(ha, hb)  # warm + reconciliation sample
-        engine.matmul(ha, hb)
-        engines[fusion] = (engine, ha, hb, res)
-
-    sep_res = engines["separate"][3]
-    fus_res = engines["fused"][3]
-    assert fus_res.fused, "fused engine fell back to the separate path"
-    assert np.array_equal(sep_res.c_fc, fus_res.c_fc), "fused bytes diverged"
-    assert np.array_equal(
-        sep_res.report.column_disc, fus_res.report.column_disc
-    ), "fused column grid diverged"
-    assert np.array_equal(
-        sep_res.report.row_disc, fus_res.report.row_disc
-    ), "fused row grid diverged"
-
-    for engine, *_ in engines.values():
-        engine.reset_stats()
-    for _ in range(repeats):
-        for engine, ha, hb, _ in engines.values():
-            engine.matmul(ha, hb)
-    per_call = {}
-    for fusion, (engine, *_) in engines.items():
-        stats = engine.stats().as_dict()
-        per_call[fusion] = (
-            stats["encode_seconds"] + stats["check_seconds"]
-        ) / repeats
-    return {
-        "separate_per_call": per_call["separate"],
-        "fused_per_call": per_call["fused"],
-        "speedup": per_call["separate"] / per_call["fused"],
-    }
-
-
-def fused_autotune_evidence() -> dict:
-    """Tuned fusion decisions at the fused bench shape.
-
-    The autotuner must choose ``fused`` for the float32 shape where the
-    in-loop check wins; the float64 decision (check-parity on this stack,
-    so the never-slower hysteresis keeps ``separate``) is recorded as the
-    only-where-it-wins evidence.
-    """
-    cfg = AbftConfig(block_size=BLOCK_SIZE, p=P)
-    with tempfile.TemporaryDirectory() as tmp:
-        tuner = Autotuner(cache=AutotuneCache(Path(tmp) / "autotune.json"))
-        f32 = tuner.tune(
-            FUSED_SIZE, FUSED_SIZE, FUSED_SIZE, dtype=np.float32, config=cfg
-        )
-        f64 = tuner.tune(
-            FUSED_SIZE, FUSED_SIZE, FUSED_SIZE, dtype=np.float64, config=cfg
-        )
-    return {
-        "float32_fusion": f32.fusion,
-        "float32_tile_blocks": f32.fused_tile_blocks,
-        "float64_fusion": f64.fusion,
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description="Encode/check stage benchmark (fused kernels vs references)"
@@ -364,50 +270,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
         print("  encode+check stage time within tolerance")
-
-        if "fused_speedup_vs_separate" not in committed:
-            print(
-                "FAIL: committed baseline has no fused-online row "
-                "(regenerate BENCH_encode.json)",
-                file=sys.stderr,
-            )
-            return 1
-        fused = fused_stage_times(
-            FUSED_QUICK_REPEATS if args.quick else FUSED_REPEATS
-        )
-        print(
-            f"  fused-online ({FUSED_SIZE}² float32 handles): "
-            f"{fused['fused_per_call'] * 1e3:.2f} ms/call vs separate "
-            f"{fused['separate_per_call'] * 1e3:.2f} ms/call "
-            f"({fused['speedup']:.2f}x, floor {FUSED_FLOOR:.2f}x, "
-            f"baseline {committed['fused_speedup_vs_separate']:.2f}x)"
-        )
-        if fused["speedup"] < FUSED_FLOOR:
-            print(
-                "FAIL: fused-online encode+check speedup fell below the "
-                f"{FUSED_FLOOR:.2f}x floor",
-                file=sys.stderr,
-            )
-            return 1
-        print("  fused-online speedup above the floor")
         return 0
-
-    # Fused-online row: the in-loop check must beat the separate
-    # encode+check path on the warm large-shape workload, and the
-    # autotuner must pick fusion for the shape where it wins.
-    fused = fused_stage_times(FUSED_QUICK_REPEATS if args.quick else FUSED_REPEATS)
-    print(
-        f"  fused-online ({FUSED_SIZE}² float32 handles): "
-        f"{fused['fused_per_call'] * 1e3:.2f} ms/call vs separate "
-        f"{fused['separate_per_call'] * 1e3:.2f} ms/call "
-        f"({fused['speedup']:.2f}x, floor {FUSED_FLOOR:.2f}x)"
-    )
-    tune_evidence = fused_autotune_evidence()
-    print(
-        f"  autotune fusion decisions: float32={tune_evidence['float32_fusion']}"
-        f" (tile_blocks={tune_evidence['float32_tile_blocks']}),"
-        f" float64={tune_evidence['float64_fusion']}"
-    )
 
     # Acceptance: at most ~1/3 of the committed pre-PR stage baseline.
     payload = {
@@ -424,17 +287,6 @@ def main(argv: list[str] | None = None) -> int:
         "speedup_vs_reference": speedup,
         "bitwise_identical": True,
         "fault_detected": True,
-        "fused_size": FUSED_SIZE,
-        "fused_dtype": "float32",
-        "fused_repeats": FUSED_QUICK_REPEATS if args.quick else FUSED_REPEATS,
-        "fused_separate_per_call_seconds": fused["separate_per_call"],
-        "fused_per_call_seconds": fused["fused_per_call"],
-        "fused_speedup_vs_separate": fused["speedup"],
-        "fused_floor": FUSED_FLOOR,
-        "fused_bitwise_identical": True,
-        "fused_autotune_float32": tune_evidence["float32_fusion"],
-        "fused_autotune_float32_tile_blocks": tune_evidence["float32_tile_blocks"],
-        "fused_autotune_float64": tune_evidence["float64_fusion"],
     }
     if ENGINE_BASELINE.exists():
         base = json.loads(ENGINE_BASELINE.read_text())["engine_stats"]
@@ -458,20 +310,6 @@ def main(argv: list[str] | None = None) -> int:
     if ENGINE_BASELINE.exists() and ratio > TARGET_RATIO:
         print(
             "FAIL: encode+check stage time above 1/3 of the pre-PR baseline",
-            file=sys.stderr,
-        )
-        return 1
-    if fused["speedup"] < FUSED_FLOOR:
-        print(
-            f"FAIL: fused-online encode+check speedup below the "
-            f"{FUSED_FLOOR:.2f}x floor",
-            file=sys.stderr,
-        )
-        return 1
-    if tune_evidence["float32_fusion"] != "fused":
-        print(
-            "FAIL: autotuner did not choose fusion for the float32 shape "
-            "where it wins",
             file=sys.stderr,
         )
         return 1

@@ -30,8 +30,8 @@ Package map (see DESIGN.md for the full inventory):
   (see docs/OBSERVABILITY.md)
 - :mod:`repro.serve` — micro-batching request scheduler with backpressure
   and adaptive degradation (``aabft serve`` / ``aabft loadgen``)
-- :mod:`repro.backends` — pluggable compute backends (numpy / blocked /
-  cupy) with capability negotiation and a backend/tile autotuner
+- :mod:`repro.backends` — pluggable compute backends (numpy / blocked)
+  with capability negotiation and a backend/tile autotuner
   (``aabft backends`` / ``aabft autotune``)
 - :mod:`repro.chaos` — declarative chaos recipes + SLO harness over the
   serving layer (``aabft chaos run``, the ``chaos-slo`` CI gate)

@@ -81,13 +81,6 @@ class AbftResult:
         ``None`` when the selected backend served the call; otherwise the
         never-silent record of why execution fell back to ``numpy``
         (selection-time rejection or dispatch-time failure).
-    fused:
-        Whether the multiply+check ran through the fused online-ABFT tile
-        loop (per-tile checks, early abort, tile-granular recompute)
-        instead of the separate passes.
-    fused_fallback:
-        ``None`` when the requested fusion strategy ran; otherwise the
-        never-silent record of why a fused request executed separately.
     products:
         The :class:`~repro.kernels.sideproduct.SideProducts` ``C``, ``R``,
         ``K`` and ``X`` the engine computed (``None`` for results built
@@ -104,8 +97,6 @@ class AbftResult:
         provider: EpsilonProvider,
         backend: str | None = None,
         backend_fallback: str | None = None,
-        fused: bool = False,
-        fused_fallback: str | None = None,
         products=None,
     ) -> None:
         if c_fc is None and products is None:
@@ -118,8 +109,6 @@ class AbftResult:
         self.provider = provider
         self.backend = backend
         self.backend_fallback = backend_fallback
-        self.fused = fused
-        self.fused_fallback = fused_fallback
         self.products = products
 
     @property
@@ -141,6 +130,5 @@ class AbftResult:
     def __repr__(self) -> str:
         return (
             f"AbftResult(shape={self.c.shape}, dtype={self.c.dtype}, "
-            f"detected={self.detected}, backend={self.backend!r}, "
-            f"fused={self.fused})"
+            f"detected={self.detected}, backend={self.backend!r})"
         )

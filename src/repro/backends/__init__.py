@@ -9,10 +9,9 @@ of a hard-wired ``a @ b``:
   and the selection policy (config pin > ``AABFT_BACKEND`` env pin >
   autotuned winner > ``numpy``), with a never-silent fallback to
   ``numpy`` recorded on results and in ``abft_backend_*`` telemetry;
-* three shipped backends — :class:`NumpyBackend` (serial bitwise
-  reference), :class:`BlockedBackend` (tile-parallel thread-pool GEMM
-  mapping the paper's CUDA result-block grid onto workers) and
-  :class:`CupyBackend` (guarded-import device GEMM, capability-gated);
+* two shipped backends — :class:`NumpyBackend` (serial bitwise
+  reference) and :class:`BlockedBackend` (tile-parallel thread-pool GEMM
+  mapping the paper's CUDA result-block grid onto workers);
 * :class:`Autotuner` / :class:`AutotuneCache` — per-``(shape, dtype,
   scheme)`` timing of candidate ``(backend, tile)`` configs with winners
   persisted on disk and fed into execution plans.
@@ -43,12 +42,10 @@ from .autotune import (
 )
 from .base import Backend, BackendCapabilities, BackendUnavailable
 from .blocked import BlockedBackend
-from .cupy_backend import CupyBackend
 from .numpy_backend import NumpyBackend
 from .registry import (
     DEFAULT_BACKEND,
     ENV_BACKEND,
-    ENV_FUSION,
     BackendRegistry,
     BackendSelection,
     default_registry,
@@ -63,7 +60,6 @@ __all__ = [
     "BackendSelection",
     "BackendUnavailable",
     "BlockedBackend",
-    "CupyBackend",
     "NumpyBackend",
     "Autotuner",
     "AutotuneCache",
@@ -71,7 +67,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "ENV_BACKEND",
     "ENV_AUTOTUNE_CACHE",
-    "ENV_FUSION",
     "default_cache_path",
     "default_registry",
     "get_backend",

@@ -31,12 +31,11 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..abft.encoding import PartitionedLayout
 from ..telemetry import MetricsRegistry
 from .registry import BackendRegistry, default_registry
 
@@ -72,25 +71,12 @@ class TunedChoice:
         The winner's best-of-repeats GEMM seconds.
     baseline_per_call_s:
         The ``numpy`` single-tile reference timed in the same session.
-    fusion / fused_tile_blocks:
-        The winning fusion strategy: ``"fused"`` when the online-ABFT
-        tile loop (GEMM + in-loop check) beat the separate GEMM + grid
-        check by the hysteresis margin on this backend, else
-        ``"separate"``.
-    fused_per_call_s / separate_check_s:
-        The timed evidence behind the fusion decision: best fused
-        multiply+check seconds, and the separate grid-check seconds that
-        ride on top of ``per_call_s`` in the separate strategy.
     """
 
     backend: str
     tile: int | None
     per_call_s: float
     baseline_per_call_s: float
-    fusion: str = "separate"
-    fused_tile_blocks: int | None = None
-    fused_per_call_s: float | None = None
-    separate_check_s: float | None = None
 
     @property
     def speedup(self) -> float:
@@ -139,7 +125,11 @@ class _FileLock:
 
 
 def _parse_entries(text: str) -> dict[str, TunedChoice]:
-    """Decode a cache file's entries; corrupt or missing data reads empty."""
+    """Decode a cache file's entries; corrupt or missing data reads empty.
+
+    Keys other than the four :class:`TunedChoice` fields are ignored, so
+    files written with the retired fused-tile fields still load.
+    """
     entries: dict[str, TunedChoice] = {}
     try:
         raw = json.loads(text)
@@ -153,24 +143,6 @@ def _parse_entries(text: str) -> dict[str, TunedChoice]:
                 ),
                 per_call_s=float(payload["per_call_s"]),
                 baseline_per_call_s=float(payload["baseline_per_call_s"]),
-                # Fusion fields arrived later; pre-existing cache files
-                # read as the historical separate strategy.
-                fusion=str(payload.get("fusion", "separate")),
-                fused_tile_blocks=(
-                    None
-                    if payload.get("fused_tile_blocks") is None
-                    else int(payload["fused_tile_blocks"])
-                ),
-                fused_per_call_s=(
-                    None
-                    if payload.get("fused_per_call_s") is None
-                    else float(payload["fused_per_call_s"])
-                ),
-                separate_check_s=(
-                    None
-                    if payload.get("separate_check_s") is None
-                    else float(payload["separate_check_s"])
-                ),
             )
     except (ValueError, KeyError, TypeError):
         entries = {}
@@ -308,12 +280,6 @@ class Autotuner:
             "Autotuner events (cache_hit / cache_miss / tuned)",
             ("event",),
         )
-        self._m_fusion = reg.counter(
-            "abft_fused_autotune_total",
-            "Fusion-strategy autotune decisions (fused / separate / "
-            "unsupported)",
-            ("decision",),
-        )
 
     # ------------------------------------------------------------------
     def key(self, m: int, n: int, q: int, dtype, config) -> str:
@@ -414,140 +380,9 @@ class Autotuner:
                 per_call_s=baseline,
                 baseline_per_call_s=baseline,
             )
-        best = self._tune_fusion(best, cfg, a, b, m, q)
         self.cache.put(cache_key, best)
         self._m_events.labels(event="tuned").inc()
         return best
-
-    def candidate_tile_blocks(self, m: int, q: int, block_size: int) -> list[int]:
-        """Fused tile-edge candidates in whole blocks per axis, capped to
-        edges that actually subdivide the result."""
-        largest = max(m, q)
-        return [tb for tb in (2, 4, 8) if tb * block_size < largest]
-
-    def _tune_fusion(
-        self, best: TunedChoice, cfg, a: np.ndarray, b: np.ndarray,
-        m: int, q: int,
-    ) -> TunedChoice:
-        """Time fused online tiles against the separate GEMM + grid check.
-
-        Multi-tile candidates win only when their whole multiply+check
-        wall time beats the winner's GEMM *plus* the separate grid check
-        by the same never-slower hysteresis margin — on the backend that
-        actually won, with the tolerance grids forced to ``inf`` so the
-        random timing operands never trigger a recompute.  The degenerate
-        single-tile candidate (``fused_tile_blocks=None``) runs the exact
-        same GEMM as the separate path, so only its in-loop check time is
-        compared (hysteresis applies to the component that can differ,
-        not to the GEMM term that is equal by construction).
-        """
-        from ..kernels.online_fused import online_fused_matmul
-        from ..kernels.sideproduct import (
-            block_checksums,
-            side_discrepancies,
-            side_products,
-        )
-
-        backend = self.registry.get(best.backend)
-        if not backend.capabilities().fused_online:
-            self._m_fusion.labels(decision="unsupported").inc()
-            return best
-        bs = cfg.block_size
-        tile_blocks = self.candidate_tile_blocks(m, q, bs)
-
-        row_layout = PartitionedLayout(data_rows=m + (-m) % bs, block_size=bs)
-        col_layout = PartitionedLayout(data_rows=q + (-q) % bs, block_size=bs)
-        ea = block_checksums(a, "a", bs)
-        eb = block_checksums(b, "b", bs)
-        products = side_products(
-            a, ea, b, eb, lambda x, y: backend.matmul(x, y, tile=best.tile)
-        )
-        check_s = float("inf")
-        for _ in range(self.repeats):
-            t0 = time.perf_counter()
-            side_discrepancies(products, row_layout, col_layout)
-            check_s = min(check_s, time.perf_counter() - t0)
-
-        col_eps = np.full(
-            (row_layout.num_blocks, col_layout.encoded_rows), np.inf
-        )
-        row_eps = np.full(
-            (row_layout.encoded_rows, col_layout.num_blocks), np.inf
-        )
-        executor = backend.tile_executor()
-
-        # Degenerate single-tile fusion: the GEMM is the separate path's
-        # own (identical bytes and schedule), so only the self-timed
-        # in-loop check cost matters.
-        degenerate_check_s = float("inf")
-        for i in range(self.repeats + 1):
-            outcome = online_fused_matmul(
-                a, ea, b, eb,
-                row_layout=row_layout,
-                col_layout=col_layout,
-                col_eps=col_eps,
-                row_eps=row_eps,
-                tile_blocks=None,
-                gemm_tile=best.tile,
-                executor=executor,
-                abort_on_failure=False,
-            )
-            if i > 0:  # first call is the warm-up
-                degenerate_check_s = min(
-                    degenerate_check_s, outcome.check_seconds
-                )
-
-        fused_s = float("inf")
-        fused_tb: int | None = None
-        for tb in tile_blocks:
-            seconds = float("inf")
-            for i in range(self.repeats + 1):
-                t0 = time.perf_counter()
-                online_fused_matmul(
-                    a, ea, b, eb,
-                    row_layout=row_layout,
-                    col_layout=col_layout,
-                    col_eps=col_eps,
-                    row_eps=row_eps,
-                    tile_blocks=tb,
-                    executor=executor,
-                    abort_on_failure=False,
-                )
-                if i > 0:  # first call is the warm-up
-                    seconds = min(seconds, time.perf_counter() - t0)
-            if seconds < fused_s:
-                fused_s, fused_tb = seconds, tb
-
-        separate_s = best.per_call_s + check_s
-        degenerate_s = best.per_call_s + degenerate_check_s
-        degenerate_wins = degenerate_check_s < check_s * (1.0 - self.hysteresis)
-        multi_tile_wins = fused_s < separate_s * (1.0 - self.hysteresis)
-        if multi_tile_wins and (not degenerate_wins or fused_s < degenerate_s):
-            self._m_fusion.labels(decision="fused").inc()
-            return replace(
-                best,
-                fusion="fused",
-                fused_tile_blocks=fused_tb,
-                fused_per_call_s=fused_s,
-                separate_check_s=check_s,
-            )
-        if degenerate_wins:
-            self._m_fusion.labels(decision="fused").inc()
-            return replace(
-                best,
-                fusion="fused",
-                fused_tile_blocks=None,
-                fused_per_call_s=degenerate_s,
-                separate_check_s=check_s,
-            )
-        self._m_fusion.labels(decision="separate").inc()
-        return replace(
-            best,
-            fusion="separate",
-            fused_tile_blocks=None,
-            fused_per_call_s=min(fused_s, degenerate_s),
-            separate_check_s=check_s,
-        )
 
     def _time(self, name: str, tile: int | None, a, b) -> float:
         backend = self.registry.get(name)

@@ -10,9 +10,8 @@ interchangeable by construction.
 
 Each backend publishes a :class:`BackendCapabilities` descriptor the
 negotiation layer (:func:`repro.backends.registry.negotiate`) consults
-before dispatching: supported dtypes, a result-size ceiling, whether the
-pooled fused-encode path may feed it, and whether its results are
-bitwise-deterministic against the canonical tile loop.
+before dispatching: supported dtypes, a result-size ceiling, and whether
+its results are bitwise-deterministic against the canonical tile loop.
 """
 
 from __future__ import annotations
@@ -44,22 +43,11 @@ class BackendCapabilities:
         Numpy dtype names the backend computes in.
     max_elements:
         Ceiling on result elements (``m * q``); ``None`` = unlimited.
-    fused_encode:
-        Whether operands encoded through the pooled fused-encode path may
-        be handed to this backend directly (host-memory backends) — a
-        device backend would need its own transfer staging.
     deterministic:
         Whether results are bitwise identical to the canonical serial
         tile loop.  Automatic selection ("auto") only ever picks
         deterministic backends; non-deterministic ones must be pinned
         explicitly.
-    fused_online:
-        Whether the backend can execute the fused online-ABFT tile loop
-        (:func:`repro.kernels.online_fused.online_fused_matmul`): per-tile
-        checksum checks interleaved with the GEMM, early abort and
-        tile-granular recompute.  Host-memory backends whose tiles the
-        kernel can check in place qualify; a device backend would need a
-        device-side check kernel.
     description:
         One line for ``aabft backends``.
     """
@@ -67,9 +55,7 @@ class BackendCapabilities:
     name: str
     dtypes: tuple[str, ...] = ("float64", "float32")
     max_elements: int | None = None
-    fused_encode: bool = True
     deterministic: bool = True
-    fused_online: bool = False
     description: str = ""
 
     def supports_dtype(self, dtype) -> bool:
@@ -132,16 +118,6 @@ class Backend(abc.ABC):
         that cannot run raises :class:`BackendUnavailable` (the engine
         falls back to ``numpy`` and records it).
         """
-
-    def tile_executor(self):
-        """Executor for fused online tile lookahead, or ``None``.
-
-        Backends advertising ``fused_online`` may return their worker
-        pool here so :func:`~repro.kernels.online_fused.online_fused_matmul`
-        can speculatively run the next tile's GEMM while the current tile
-        is being checked.  ``None`` means strictly serial tiles.
-        """
-        return None
 
     def close(self) -> None:
         """Release backend resources (thread pools, device handles)."""

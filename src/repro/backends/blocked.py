@@ -58,9 +58,7 @@ class BlockedBackend(Backend):
             name=self.name,
             dtypes=("float64", "float32"),
             max_elements=None,
-            fused_encode=True,
             deterministic=True,
-            fused_online=True,
             description=(
                 f"tile-parallel host BLAS over {self._max_workers} worker "
                 f"thread{'s' if self._max_workers != 1 else ''} "
@@ -143,13 +141,6 @@ class BlockedBackend(Backend):
         return tiled_matmul(
             a, b, tile=tile, out=out, pool=pool, executor=self._get_executor()
         )
-
-    def tile_executor(self):
-        """The worker pool, for fused online tile lookahead."""
-        available, _ = self.availability()
-        if not available:
-            return None
-        return self._get_executor()
 
     def close(self) -> None:
         with self._lock:

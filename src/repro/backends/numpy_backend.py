@@ -27,9 +27,7 @@ class NumpyBackend(Backend):
             name=self.name,
             dtypes=("float64", "float32"),
             max_elements=None,
-            fused_encode=True,
             deterministic=True,
-            fused_online=True,
             description="serial host BLAS (bitwise reference, terminal fallback)",
         )
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from .base import Backend
@@ -31,7 +31,6 @@ __all__ = [
     "BackendSelection",
     "DEFAULT_BACKEND",
     "ENV_BACKEND",
-    "ENV_FUSION",
     "default_registry",
     "get_backend",
     "negotiate",
@@ -39,10 +38,6 @@ __all__ = [
 
 #: Environment variable pinning the default backend for ``"auto"`` configs.
 ENV_BACKEND = "AABFT_BACKEND"
-
-#: Environment variable pinning the fusion strategy (``fused``/``separate``)
-#: for configs whose ``fusion`` is ``"auto"``.
-ENV_FUSION = "AABFT_FUSION"
 
 #: The terminal-fallback backend; always registered, always available.
 DEFAULT_BACKEND = "numpy"
@@ -120,9 +115,7 @@ class BackendRegistry:
                     "reason": reason,
                     "dtypes": list(caps.dtypes),
                     "max_elements": caps.max_elements,
-                    "fused_encode": caps.fused_encode,
                     "deterministic": caps.deterministic,
-                    "fused_online": caps.fused_online,
                     "description": caps.description,
                 }
             )
@@ -153,20 +146,6 @@ class BackendSelection:
     fallback_from / fallback_reason:
         Set when the requested backend was rejected and the selection
         fell back to ``numpy`` — the never-silent record.
-    fusion:
-        The resolved fusion strategy: ``"fused"`` runs the online-ABFT
-        tile loop (checks interleaved with the GEMM), ``"separate"`` the
-        classic encode/multiply/check passes.
-    fused_tile_blocks:
-        Fused tile edge in whole encoded blocks (``None`` = the single
-        full-result tile, the degenerate bitwise-identical mode).
-    fusion_source:
-        Where the fusion strategy came from: ``"pinned"``, ``"env"``,
-        ``"autotuned"`` or ``"default"``.
-    fusion_fallback_reason:
-        Set when a requested ``"fused"`` strategy was rejected (backend
-        lacks the ``fused_online`` capability) and the selection fell
-        back to ``"separate"`` — the never-silent record.
     """
 
     backend: str
@@ -174,10 +153,6 @@ class BackendSelection:
     source: str
     fallback_from: str | None = None
     fallback_reason: str | None = None
-    fusion: str = "separate"
-    fused_tile_blocks: int | None = None
-    fusion_source: str = "default"
-    fusion_fallback_reason: str | None = None
 
 
 def _viability(
@@ -231,7 +206,6 @@ def negotiate(
     excluded = frozenset(config.exclude_backends)
     tile = config.gemm_tile
 
-    tuned = None
     requested: str | None = None
     source = "default"
     require_deterministic = True
@@ -251,106 +225,23 @@ def negotiate(
                     tile = tuned.tile
 
     if requested is None or requested == DEFAULT_BACKEND:
-        selection = BackendSelection(
+        return BackendSelection(
             backend=DEFAULT_BACKEND,
             tile=tile,
             source=source if requested is not None else "default",
         )
-    else:
-        reason = _viability(
-            reg, requested, excluded, dtype, m, n, q,
-            require_deterministic=require_deterministic,
-        )
-        if reason is None:
-            selection = BackendSelection(
-                backend=requested, tile=tile, source=source
-            )
-        else:
-            selection = BackendSelection(
-                backend=DEFAULT_BACKEND,
-                tile=config.gemm_tile,  # an autotuned tile dies with its backend
-                source=source,
-                fallback_from=requested,
-                fallback_reason=reason,
-            )
-    return _resolve_fusion(
-        selection, config, reg, env, tuned, autotuner, m, n, q, dtype
+    reason = _viability(
+        reg, requested, excluded, dtype, m, n, q,
+        require_deterministic=require_deterministic,
     )
-
-
-def _resolve_fusion(
-    selection: BackendSelection,
-    config,
-    reg: BackendRegistry,
-    env,
-    tuned,
-    autotuner,
-    m: int,
-    n: int,
-    q: int,
-    dtype,
-) -> BackendSelection:
-    """Resolve the fusion strategy for an already-selected backend.
-
-    Pin ladder mirrors the backend's: config pin > ``AABFT_FUSION`` env
-    pin > autotuned strategy (only honoured when the tuned backend is the
-    one actually selected) > ``"separate"``.  A requested ``"fused"``
-    strategy against a backend without the ``fused_online`` capability
-    falls back to ``"separate"`` with a recorded reason — never silently.
-    """
-    fusion: str | None = None
-    fusion_source = "default"
-    tile_blocks = getattr(config, "fused_tile_blocks", None)
-
-    cfg_fusion = getattr(config, "fusion", "auto")
-    if cfg_fusion != "auto":
-        fusion, fusion_source = cfg_fusion, "pinned"
-    else:
-        env_pin = env.get(ENV_FUSION, "").strip()
-        if env_pin and env_pin != "auto":
-            fusion, fusion_source = env_pin, "env"
-        else:
-            if tuned is None and autotuner is not None:
-                tuned = autotuner.lookup(m, n, q, dtype, config)
-            if (
-                tuned is not None
-                and getattr(tuned, "fusion", "separate") == "fused"
-                and tuned.backend == selection.backend
-            ):
-                fusion, fusion_source = "fused", "autotuned"
-                if tile_blocks is None:
-                    tile_blocks = tuned.fused_tile_blocks
-
-    if fusion is None or fusion == "separate":
-        return replace(
-            selection,
-            fusion="separate",
-            fusion_source=fusion_source if fusion is not None else "default",
-        )
-    if fusion != "fused":
-        return replace(
-            selection,
-            fusion="separate",
-            fusion_source=fusion_source,
-            fusion_fallback_reason=f"unknown fusion strategy {fusion!r}",
-        )
-    if selection.backend in reg:
-        caps = reg.get(selection.backend).capabilities()
-        if caps.fused_online:
-            return replace(
-                selection,
-                fusion="fused",
-                fused_tile_blocks=tile_blocks,
-                fusion_source=fusion_source,
-            )
-        reason = f"backend {selection.backend!r} lacks fused_online capability"
-    else:
-        reason = f"unknown backend {selection.backend!r}"
-    return replace(
-        selection,
-        fusion="separate",
-        fusion_source=fusion_source,
-        fusion_fallback_reason=reason,
+    if reason is None:
+        return BackendSelection(backend=requested, tile=tile, source=source)
+    return BackendSelection(
+        backend=DEFAULT_BACKEND,
+        tile=config.gemm_tile,  # an autotuned tile dies with its backend
+        source=source,
+        fallback_from=requested,
+        fallback_reason=reason,
     )
 
 
@@ -359,18 +250,16 @@ _default_registry_lock = threading.Lock()
 
 
 def default_registry() -> BackendRegistry:
-    """The process-wide registry with the three shipped backends."""
+    """The process-wide registry with the two shipped backends."""
     global _default_registry
     with _default_registry_lock:
         if _default_registry is None:
             from .blocked import BlockedBackend
-            from .cupy_backend import CupyBackend
             from .numpy_backend import NumpyBackend
 
             registry = BackendRegistry()
             registry.register("numpy", NumpyBackend)
             registry.register("blocked", BlockedBackend)
-            registry.register("cupy", CupyBackend)
             _default_registry = registry
         return _default_registry
 

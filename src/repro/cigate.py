@@ -15,13 +15,6 @@ It runs two gates and exits nonzero when either fails:
   operand) must be detected by the results' own providers at the same
   ``coverage_floor``: the batch path shares the serial path's bytes, so
   its detection coverage must not regress either;
-* **fused-coverage** — faults injected *inside the fused online tile
-  loop* (persistent per-tile mantissa flips through the ``tile_result``
-  chaos seam) must be detected at the same ``coverage_floor`` **and**
-  provably early-aborted: every detected critical injection must show an
-  ``abft_fused_early_aborts_total`` increment and an in-loop
-  tiles-checked count strictly below the tile total — evidence the
-  corrupted tile was flagged before the remaining tiles were checked;
 * **model-coverage** — named-layer fault campaigns over the
   :mod:`repro.models` workloads (a mixed-plan float32 MLP and a float16
   attention block) must detect at least ``coverage_floor`` of the faults
@@ -64,7 +57,6 @@ __all__ = [
     "GateResult",
     "coverage_gate",
     "default_gate_backends",
-    "fused_coverage_gate",
     "model_coverage_gate",
     "pipeline_coverage_gate",
     "throughput_gate",
@@ -314,164 +306,6 @@ def pipeline_coverage_gate(
     )
     return GateResult(
         gate="pipeline-coverage", passed=passed, measured=rate,
-        threshold=floor, detail=detail,
-    )
-
-
-def fused_coverage_gate(
-    *,
-    floor: float = DEFAULT_COVERAGE_FLOOR,
-    quick: bool = True,
-    seed: int = 2014,
-    n: int | None = None,
-    num_injections: int | None = None,
-    registry: MetricsRegistry | None = None,
-) -> GateResult:
-    """Gate in-loop detection and early abort of the fused online path.
-
-    Each trial picks a result tile of a ``fusion="fused"`` multiplication
-    and flips one mantissa bit of a data element *inside the tile loop*
-    through the ``tile_result`` chaos seam — persistently, re-applying
-    the flip after every tile recompute, so a critical flip cannot heal.
-    Detection is judged by the result's canonical report; the early-abort
-    proof is per-trial counter deltas: every detected critical injection
-    must increment ``abft_fused_early_aborts_total`` exactly once and
-    check strictly fewer tiles than the tile total (the corrupted tile
-    stopped the in-loop checking before the remaining tiles ran).  The
-    fault-free baseline must be clean and must actually run fused.
-    """
-    from .abft.classify import ErrorClassifier
-    from .engine import AbftConfig, MatmulEngine
-    from .kernels.online_fused import plan_fused_tiles
-
-    reg = registry if registry is not None else get_registry()
-    if n is None:
-        n = 128 if quick else 256
-    q = 64
-    if num_injections is None:
-        num_injections = 200 if quick else 500
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, (n, n))
-    b = rng.uniform(-1.0, 1.0, (n, q))
-    # A small block size gives the quick shapes a real multi-tile grid,
-    # so "checked fewer tiles than the total" is demonstrable.
-    config = AbftConfig(
-        block_size=32, p=2, fusion="fused", fused_tile_blocks=1
-    )
-
-    with span(
-        "ci_gate.fused_coverage",
-        registry=reg,
-        n=n,
-        injections=num_injections,
-    ):
-        with MatmulEngine(config) as engine:
-            baseline = engine.matmul(a, b)
-            fused_ran = baseline.fused
-            baseline_clean = not baseline.detected
-            tiles_total = len(
-                plan_fused_tiles(
-                    baseline.row_layout, baseline.col_layout,
-                    config.fused_tile_blocks,
-                )
-            )
-            aborts = engine.registry.counter("abft_fused_early_aborts_total")
-            checked = engine.registry.counter("abft_fused_tiles_checked_total")
-
-            classifier = ErrorClassifier(omega=config.omega)
-            # conservative per-element product bound (see pipeline gate)
-            y = float(np.abs(a).max()) * float(np.abs(b).max())
-            critical = detected_critical = early_aborted = 0
-            for _ in range(num_injections):
-                # Never the last tile: an abort there leaves no tile
-                # unchecked, so "cut short" would be unprovable.
-                target = int(rng.integers(tiles_total - 1))
-                bit = int(rng.integers(52))  # binary64 mantissa bits
-                trial = {"delta": None}
-
-                def hook(event, **kwargs):
-                    if event != "tile_result":
-                        return
-                    if kwargs["tile_index"] != target:
-                        return
-                    tile = kwargs["c_tile"]
-                    if trial["delta"] is None:
-                        # First firing picks a data element of the tile
-                        # (checksum flips are detectable too, but only
-                        # data flips fit the criticality model).
-                        while True:
-                            r = int(rng.integers(tile.shape[0]))
-                            c = int(rng.integers(tile.shape[1]))
-                            if tile[r, c] != 0.0:
-                                break
-                        trial["site"] = (r, c)
-                        trial["before"] = float(tile[r, c])
-                    r, c = trial["site"]
-                    bits = np.ascontiguousarray(
-                        tile[r, c : c + 1]
-                    ).view(np.uint64)
-                    bits ^= np.uint64(1) << np.uint64(bit)
-                    tile[r, c] = float(bits.view(np.float64)[0])
-                    trial["delta"] = tile[r, c] - trial["before"]
-
-                aborts_before = aborts.get()
-                checked_before = checked.get()
-                engine.set_chaos_hook(hook)
-                try:
-                    result = engine.matmul(a, b)
-                finally:
-                    engine.set_chaos_hook(None)
-                if trial["delta"] is None or not classifier.classify(
-                    trial["delta"], n, y
-                ).is_critical:
-                    continue
-                critical += 1
-                if not result.detected:
-                    continue
-                detected_critical += 1
-                aborted = aborts.get() - aborts_before == 1.0
-                cut_short = checked.get() - checked_before < tiles_total
-                if aborted and cut_short:
-                    early_aborted += 1
-    rate = detected_critical / critical if critical else 0.0
-    abort_rate = early_aborted / critical if critical else 0.0
-
-    gauges = reg.gauge(
-        "abft_ci_gate_fused_coverage",
-        "Fused-coverage-gate measurements of the last ci-gate run",
-        ("quantity",),
-    )
-    gauges.labels(quantity="detection_rate").set(rate)
-    gauges.labels(quantity="critical_errors").set(critical)
-    gauges.labels(quantity="floor").set(floor)
-    gauges.labels(quantity="baseline_clean").set(
-        1.0 if baseline_clean else 0.0
-    )
-    gauges.labels(quantity="fused_ran").set(1.0 if fused_ran else 0.0)
-    gauges.labels(quantity="early_abort_rate").set(abort_rate)
-    gauges.labels(quantity="tiles_total").set(tiles_total)
-
-    # Every detected critical injection must be backed by an early abort
-    # that stopped the in-loop checking short — detection without the
-    # abort evidence means the fused path gated nothing.
-    passed = (
-        baseline_clean
-        and fused_ran
-        and critical > 0
-        and rate >= floor
-        and early_aborted == detected_critical
-    )
-    detail = (
-        f"fused tile loop detected {rate:.1%} of {critical} critical "
-        f"in-loop errors, all early-aborted: "
-        f"{early_aborted == detected_critical} "
-        f"(floor {floor:.1%}, {num_injections} injections at n={n}, "
-        f"{tiles_total} tiles, "
-        f"fault-free baseline {'clean' if baseline_clean else 'FLAGGED'}"
-        f"{'' if fused_ran else ', did NOT run fused'})"
-    )
-    return GateResult(
-        gate="fused-coverage", passed=passed, measured=rate,
         threshold=floor, detail=detail,
     )
 
@@ -817,14 +651,6 @@ def run_ci_gate(
     ]
     results.append(
         pipeline_coverage_gate(
-            floor=coverage_floor,
-            quick=quick,
-            seed=seed,
-            registry=reg,
-        )
-    )
-    results.append(
-        fused_coverage_gate(
             floor=coverage_floor,
             quick=quick,
             seed=seed,

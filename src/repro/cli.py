@@ -1191,10 +1191,6 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         flags = []
         if not row["deterministic"]:
             flags.append("non-deterministic")
-        if not row["fused_encode"]:
-            flags.append("no-fused-encode")
-        if not row["fused_online"]:
-            flags.append("no-fused-online")
         flag_text = f" [{', '.join(flags)}]" if flags else ""
         print(
             f"{row['name']:<{name_w}}  {status:<40} "

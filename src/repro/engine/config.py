@@ -83,23 +83,6 @@ class AbftConfig:
         Backend names capability negotiation must never select for this
         config.  ``"numpy"`` cannot be excluded — it is the terminal
         fallback that keeps failures never-silent.
-    fusion:
-        Online-ABFT fusion strategy for the multiply+check stages:
-        ``"fused"`` pins the per-tile fused kernel
-        (:func:`repro.kernels.online_fused.online_fused_matmul`),
-        ``"separate"`` pins the classic separate passes, and ``"auto"``
-        (default) lets negotiation choose (``AABFT_FUSION`` env pin >
-        autotuned winner > separate).  A fused pin against a backend
-        without the ``fused_online`` capability falls back to separate
-        with a counted reason — never silently.
-    fused_tile_blocks:
-        Fused tile edge in whole encoded checksum blocks per axis (the
-        tile spans ``fused_tile_blocks * (block_size + 1)`` encoded
-        rows/cols).  ``None`` (default) is the single full-result fused
-        tile, whose result bytes and discrepancy grids are bitwise equal
-        to the separate default path.  Multi-tile fusion changes result
-        bytes exactly like ``gemm_tile`` does — deterministically, and
-        identically across deterministic backends.
 
     The dataclass is frozen and hashable, so it can key plan caches and be
     shared freely between threads.  Use :meth:`replace` to derive variants.
@@ -116,8 +99,6 @@ class AbftConfig:
     backend: str = "auto"
     gemm_tile: int | None = None
     exclude_backends: tuple[str, ...] = ()
-    fusion: str = "auto"
-    fused_tile_blocks: int | None = None
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -179,15 +160,6 @@ class AbftConfig:
             raise ConfigurationError(
                 f"backend {self.backend!r} is pinned and excluded at once"
             )
-        if self.fusion not in ("auto", "fused", "separate"):
-            raise ConfigurationError(
-                f"fusion must be 'auto', 'fused' or 'separate', got "
-                f"{self.fusion!r}"
-            )
-        if self.fused_tile_blocks is not None and self.fused_tile_blocks < 1:
-            raise ValueError(
-                f"fused_tile_blocks must be >= 1, got {self.fused_tile_blocks}"
-            )
 
     def top_p(self, inner_dim: int) -> int:
         """The ``p`` a product of inner length ``inner_dim`` searches.
@@ -220,8 +192,4 @@ class AbftConfig:
             parts.append(f"gemm_tile={self.gemm_tile}")
         if self.exclude_backends:
             parts.append(f"exclude={','.join(self.exclude_backends)}")
-        if self.fusion != "auto":
-            parts.append(f"fusion={self.fusion}")
-        if self.fused_tile_blocks is not None:
-            parts.append(f"fused_tile_blocks={self.fused_tile_blocks}")
         return "AbftConfig(" + ", ".join(parts) + ")"

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..abft.checking import CheckReport, build_report, check_partitioned
+from ..abft.checking import CheckReport, check_partitioned
 from ..abft.encoding import PartitionedLayout
 from ..abft.grids import CheckGrids, check_reports
 from ..kernels.encode_fused import (
@@ -50,7 +50,6 @@ from ..kernels.encode_fused import (
     fused_encode_pair,
     interleave_operand,
 )
-from ..kernels.online_fused import OnlineFusedOutcome, online_fused_matmul
 from ..kernels.sideproduct import (
     SideProducts,
     assemble_full_checksum,
@@ -68,7 +67,6 @@ from ..abft.result import AbftResult
 from ..backends.autotune import Autotuner, AutotuneCache
 from ..backends.registry import (
     ENV_BACKEND,
-    ENV_FUSION,
     BackendRegistry,
     BackendSelection,
     default_registry,
@@ -295,7 +293,7 @@ class MatmulEngine:
     backends:
         The :class:`~repro.backends.registry.BackendRegistry` the GEMM
         stage dispatches through; defaults to the process-wide registry
-        with the ``numpy``/``blocked``/``cupy`` backends.
+        with the ``numpy`` and ``blocked`` backends.
     autotuner:
         The :class:`~repro.backends.autotune.Autotuner` consulted when a
         config's backend is ``"auto"`` and neither a config nor an
@@ -397,28 +395,6 @@ class MatmulEngine:
             "Batched execution-mode fallbacks by reason (never silent)",
             ("reason",),
         )
-        self._m_fused_calls = reg.counter(
-            "abft_fused_calls_total",
-            "Protected multiplications executed through the fused "
-            "online-ABFT tile loop",
-        )
-        self._m_fused_tiles = reg.counter(
-            "abft_fused_tiles_checked_total",
-            "Result tiles checked in-loop by the fused online path",
-        )
-        self._m_fused_aborts = reg.counter(
-            "abft_fused_early_aborts_total",
-            "Fused online runs aborted early on a persistently failing tile",
-        )
-        self._m_fused_recomputes = reg.counter(
-            "abft_fused_tile_recomputes_total",
-            "Tile-granular recomputes performed by the fused online path",
-        )
-        self._m_fused_fallbacks = reg.counter(
-            "abft_fused_fallbacks_total",
-            "Never-silent fused-online fallbacks to the separate path",
-            ("reason",),
-        )
         # Bitwise-probe verdicts of the fused executor's stacked C GEMM,
         # keyed by (plan key, group width).
         self._stacked_ok: dict = {}
@@ -515,7 +491,7 @@ class MatmulEngine:
         policy:
             The :class:`~repro.engine.policy.ExecutionPolicy` selecting the
             execution mode (``auto`` | ``serial`` | ``fused``) plus backend
-            pin and fusion strategy.  Defaults to ``ExecutionPolicy()``
+            pin and exclusions.  Defaults to ``ExecutionPolicy()``
             (mode ``auto``: ``fused`` whenever the batch meets its
             preconditions).
         config:
@@ -549,8 +525,6 @@ class MatmulEngine:
             pairs.append(pair)
         if policy.backend is not None:
             cfg = cfg.replace(backend=policy.backend)
-        if policy.fusion is not None:
-            cfg = cfg.replace(fusion=policy.fusion)
         if policy.exclude_backends:
             merged = dict.fromkeys(
                 cfg.exclude_backends + policy.exclude_backends
@@ -621,19 +595,7 @@ class MatmulEngine:
           changes back into ``C``, ``R``, ``K`` and ``X`` before the
           check, so mutating ``c_fc`` emulates a kernel-level fault that
           the check stage must catch (changes to padding positions are
-          dropped: they are no product's bytes).  (On the fused online path the in-loop per-tile checks
-          have already run by then, so whenever a chaos hook is
-          installed the fused path re-derives the full discrepancy
-          grids after this hook fires — bitwise identical in clean
-          runs — keeping ``result``-site injections detectable.)
-        * ``event == "tile_result"`` (``tile_index=<int>``,
-          ``attempt=<int>``, ``c_tile=<array view>``) — fired by the
-          fused online path with the view of the tile of ``C`` after the
-          tile's GEMMs (and after each
-          tile recompute, with ``attempt`` incremented); mutating
-          ``c_tile`` in place emulates a fault inside the tile loop that
-          the *in-loop* check must catch — the early-abort /
-          tile-recompute injection site.
+          dropped: they are no product's bytes).
 
         This is the seam :mod:`repro.chaos` drives; it exists so system-
         level fault campaigns never need to monkeypatch engine internals.
@@ -677,10 +639,7 @@ class MatmulEngine:
         """Zero the engine's metrics (cached plans are kept)."""
         for metric in (self._m_calls, self._m_batched, self._m_reuses,
                        self._m_detections, self._m_exec_mode,
-                       self._m_pipe_fallbacks,
-                       self._m_fused_calls, self._m_fused_tiles,
-                       self._m_fused_aborts, self._m_fused_recomputes,
-                       self._m_fused_fallbacks):
+                       self._m_pipe_fallbacks):
             metric.reset()
         for stage in self.STAGES:
             self._m_stage[stage].reset()
@@ -843,7 +802,6 @@ class MatmulEngine:
         cfg = plan.config
         storage_dtype = plan.storage_dtype
         quantize = storage_dtype != plan.dtype
-        fused_fallback = plan.fused_fallback
 
         # --- encode (or reuse) ------------------------------------------
         t0 = time.perf_counter()
@@ -851,46 +809,23 @@ class MatmulEngine:
         self._add_seconds("encode", time.perf_counter() - t0)
         provider = self._make_provider(cfg, plan, enc_a, enc_b)
 
-        # --- fused online multiply+check (one pass over the tiles) -------
-        fused_ran = False
-        if cfg.fusion == "fused":
-            t0 = time.perf_counter()
-            grids = self._provider_grids(provider, plan)
-            grid_seconds = time.perf_counter() - t0  # check-stage work
-            if grids is None:
-                self._m_fused_fallbacks.labels(reason="no_epsilon_grids").inc()
-                fused_fallback = (
-                    "fused online fell back to separate: provider has no "
-                    "epsilon grids (tolerances must exist before the tiles "
-                    "run)"
-                )
-            else:
-                sp, report, used_backend, dispatch_fallback, check_s = (
-                    self._fused_pair(plan, cfg, enc_a, enc_b, grids)
-                )
-                self._add_seconds("check", grid_seconds + check_s)
-                fused_ran = True
+        # --- multiply (dispatched through the plan's backend) ------------
+        t0 = time.perf_counter()
+        sp, used_backend, dispatch_fallback = self._products(plan, enc_a, enc_b)
+        self._result_hook(used_backend, sp, plan)
+        if quantize:
+            # Simulate low-precision result storage: C round-trips through
+            # the storage dtype (the checksum products stay in the compute
+            # dtype — they accumulate in float32, per the mixed-precision
+            # discipline), so the check below sees genuine storage
+            # quantisation noise.
+            sp.c[...] = sp.c.astype(storage_dtype)
+        self._add_seconds("multiply", time.perf_counter() - t0)
 
-        if not fused_ran:
-            # --- multiply (dispatched through the plan's backend) --------
-            t0 = time.perf_counter()
-            sp, used_backend, dispatch_fallback = self._products(
-                plan, enc_a, enc_b
-            )
-            self._result_hook(used_backend, sp, plan)
-            if quantize:
-                # Simulate low-precision result storage: C round-trips
-                # through the storage dtype (the checksum products stay in
-                # the compute dtype — they accumulate in float32, per the
-                # mixed-precision discipline), so the check below sees
-                # genuine storage quantisation noise.
-                sp.c[...] = sp.c.astype(storage_dtype)
-            self._add_seconds("multiply", time.perf_counter() - t0)
-
-            # --- check ---------------------------------------------------
-            t0 = time.perf_counter()
-            report = self._check(sp, plan, provider)
-            self._add_seconds("check", time.perf_counter() - t0)
+        # --- check -------------------------------------------------------
+        t0 = time.perf_counter()
+        report = self._check(sp, plan, provider)
+        self._add_seconds("check", time.perf_counter() - t0)
 
         # Lossless when quantised: C already round-tripped through the
         # storage dtype, so this cast only changes the container.
@@ -907,8 +842,6 @@ class MatmulEngine:
             provider=provider,
             backend=used_backend,
             backend_fallback=plan.selection_fallback or dispatch_fallback,
-            fused=fused_ran,
-            fused_fallback=fused_fallback,
             products=sp,
         )
 
@@ -959,16 +892,15 @@ class MatmulEngine:
 
         The key holds everything dtype resolution, negotiation and the
         plan depend on: both operand dtypes and shapes, the config, the
-        ``AABFT_BACKEND`` / ``AABFT_FUSION`` pins, the autotune cache's
+        ``AABFT_BACKEND`` pin, the autotune cache's
         generation (bumped by every ``put`` and ``clear``) and the backend
         registry's (bumped by every ``register``).  A hit replays
         the fallback counters the negotiation incremented, so a fallback
         is counted on every call, never only on the first.
         """
-        environ = os.environ
         key = (
             a_dtype, b_dtype, a_shape, b_shape, cfg,
-            environ.get(ENV_BACKEND), environ.get(ENV_FUSION),
+            os.environ.get(ENV_BACKEND),
             self._autotuner.cache.generation, self._backends.generation,
         )
         plan, hit = self._plans.get(
@@ -992,26 +924,11 @@ class MatmulEngine:
         m, n = a_shape
         q = b_shape[1]
         replay: list = []
-        cfg, selection_fallback, fused_fallback = self._negotiate(
-            cfg, m, n, q, dtype, replay
-        )
-        if storage_dtype != dtype and cfg.fusion == "fused":
-            # The low-precision path quantises the stored result between
-            # multiply and check, which the in-loop tile checks would miss.
-            counter = self._m_fused_fallbacks.labels(reason="low_precision")
-            counter.inc()
-            replay.append(counter)
-            fused_fallback = (
-                "fused online fell back to separate: low-precision storage "
-                "quantises the result after the multiply, so checks must "
-                "run on the stored bytes"
-            )
-            cfg = cfg.replace(fusion="separate", fused_tile_blocks=None)
+        cfg, selection_fallback = self._negotiate(cfg, m, n, q, dtype, replay)
         plan = build_plan(m, n, q, dtype, cfg)
         plan.key = key
         plan.storage_dtype = storage_dtype
         plan.selection_fallback = selection_fallback
-        plan.fused_fallback = fused_fallback
         plan.replay = tuple(replay)
         return plan
 
@@ -1023,20 +940,15 @@ class MatmulEngine:
         q: int,
         dtype: np.dtype,
         replay: list,
-    ) -> tuple[AbftConfig, str | None, str | None]:
-        """Resolve ``backend="auto"`` / ``fusion="auto"`` for one signature.
+    ) -> tuple[AbftConfig, str | None]:
+        """Resolve ``backend="auto"`` for one signature.
 
-        Returns the *effective* config — carrying a concrete backend,
-        tile and fusion strategy (``"fused"`` or ``"separate"``, never
-        ``"auto"``), so it keys the plan cache — plus two never-silent
-        fallback texts: the backend-selection fallback (``None`` when the
-        requested backend was selected) and the fusion-negotiation
-        fallback (``None`` when the requested fusion strategy ran).  A
-        rejected backend candidate falls back to ``numpy`` and is counted
-        in ``abft_backend_fallbacks_total``; a rejected fused request
-        falls back to separate and is counted in
-        ``abft_fused_fallbacks_total``; every counter incremented is
-        appended to ``replay``.
+        Returns the *effective* config — carrying a concrete backend and
+        tile, so it keys the plan cache — plus the never-silent
+        backend-selection fallback text (``None`` when the requested
+        backend was selected).  A rejected backend candidate falls back
+        to ``numpy`` and is counted in ``abft_backend_fallbacks_total``;
+        the counter is appended to ``replay``.
         """
         selection: BackendSelection = negotiate(
             cfg, m, n, q, dtype,
@@ -1054,31 +966,9 @@ class MatmulEngine:
                 f"selection fell back from {selection.fallback_from!r} "
                 f"to 'numpy': {selection.fallback_reason}"
             )
-        fused_fallback_text = None
-        if selection.fusion_fallback_reason is not None:
-            counter = self._m_fused_fallbacks.labels(reason="negotiation")
-            counter.inc()
-            replay.append(counter)
-            fused_fallback_text = (
-                "fused online fell back to separate: "
-                f"{selection.fusion_fallback_reason}"
-            )
-        fused_tb = (
-            selection.fused_tile_blocks if selection.fusion == "fused" else None
-        )
-        if (
-            cfg.backend != selection.backend
-            or cfg.gemm_tile != selection.tile
-            or cfg.fusion != selection.fusion
-            or cfg.fused_tile_blocks != fused_tb
-        ):
-            cfg = cfg.replace(
-                backend=selection.backend,
-                gemm_tile=selection.tile,
-                fusion=selection.fusion,
-                fused_tile_blocks=fused_tb,
-            )
-        return cfg, fallback_text, fused_fallback_text
+        if cfg.backend != selection.backend or cfg.gemm_tile != selection.tile:
+            cfg = cfg.replace(backend=selection.backend, gemm_tile=selection.tile)
+        return cfg, fallback_text
 
     def _products(
         self,
@@ -1232,133 +1122,6 @@ class MatmulEngine:
             return grids
         col_eps, row_eps = grids
         return CheckGrids.pack(col_eps, row_eps, plan.row_layout, plan.col_layout)
-
-    def _fused_pair(self, plan, cfg, enc_a, enc_b, grids):
-        """One pair through the fused online tile loop.
-
-        Returns ``(products, report, backend, fallback, check_seconds)``
-        and charges the multiply stage; the caller charges the check
-        seconds (the kernel self-times its in-loop checks).  The grids'
-        buffer goes back to the pool.
-        """
-        col_eps, row_eps = grids
-        t0 = time.perf_counter()
-        outcome, used, fallback = self._fused_online(
-            plan, cfg, enc_a, enc_b, col_eps, row_eps
-        )
-        self._add_seconds(
-            "multiply",
-            max(0.0, time.perf_counter() - t0 - outcome.check_seconds),
-        )
-        t0 = time.perf_counter()
-        report = self._fused_report(outcome, col_eps, row_eps, plan)
-        plan.pool.give(grids.buffer)
-        check_s = outcome.check_seconds + (time.perf_counter() - t0)
-        return outcome.products, report, used, fallback, check_s
-
-    def _fused_online(
-        self,
-        plan: ExecutionPlan,
-        cfg: AbftConfig,
-        enc_a: EncodedOperand,
-        enc_b: EncodedOperand,
-        col_eps: np.ndarray,
-        row_eps: np.ndarray,
-    ) -> tuple[OnlineFusedOutcome, str, str | None]:
-        """Run the fused online multiply+check on the plan's backend.
-
-        Returns ``(outcome, backend_used, fallback_text)``.  Mirrors
-        :meth:`_products`' never-silent contract: a dispatch-time
-        failure retries the whole fused call on ``numpy`` with the same
-        tile geometry, counted in ``abft_backend_fallbacks_total``.
-        """
-        name = plan.backend_name
-        self._m_backend_dispatch.labels(backend=name).inc()
-        hook = self._chaos_hook
-        inject_hook = None
-        if hook is not None:
-            def inject_hook(tile_index, attempt, tile_view):
-                hook(
-                    "tile_result",
-                    tile_index=tile_index,
-                    attempt=attempt,
-                    c_tile=tile_view,
-                )
-
-        def run(backend_name: str) -> OnlineFusedOutcome:
-            backend = self._backends.get(backend_name)
-            executor = getattr(backend, "tile_executor", lambda: None)()
-            return online_fused_matmul(
-                enc_a.data,
-                enc_a.checksums,
-                enc_b.data,
-                enc_b.checksums,
-                row_layout=plan.row_layout,
-                col_layout=plan.col_layout,
-                col_eps=col_eps,
-                row_eps=row_eps,
-                tile_blocks=cfg.fused_tile_blocks,
-                gemm_tile=plan.tile,
-                pool=plan.pool,
-                executor=executor,
-                inject_hook=inject_hook,
-            )
-
-        fallback_text = None
-        try:
-            if hook is not None:
-                # Chaos seam: a raising hook emulates a backend failure
-                # and rides the real never-silent fallback below.
-                hook("dispatch", backend=name)
-            outcome = run(name)
-        except Exception as exc:
-            if name == "numpy":
-                raise
-            self._m_backend_fallbacks.labels(
-                backend=name, reason="dispatch"
-            ).inc()
-            outcome = run("numpy")
-            name = "numpy"
-            fallback_text = (
-                f"dispatch on {plan.backend_name!r} failed "
-                f"({type(exc).__name__}: {exc}); recomputed on 'numpy'"
-            )
-        self._m_fused_calls.inc()
-        self._m_fused_tiles.inc(outcome.tiles_checked)
-        if outcome.recomputed_tiles:
-            self._m_fused_recomputes.inc(len(outcome.recomputed_tiles))
-        if outcome.early_abort:
-            self._m_fused_aborts.inc()
-        self._result_hook(name, outcome.products, plan)
-        return outcome, name, fallback_text
-
-    def _fused_report(
-        self,
-        outcome: OnlineFusedOutcome,
-        col_eps: np.ndarray,
-        row_eps: np.ndarray,
-        plan: ExecutionPlan,
-    ) -> CheckReport:
-        """Build the canonical check report from a fused online outcome.
-
-        The clean path reuses the kernel's per-tile discrepancy
-        accumulators directly.  After an early abort (tiles past the
-        failure were never checked) or whenever a chaos hook is installed
-        (the ``result`` hook may have changed the products after the
-        in-loop checks ran), the full grids are recomputed from the final
-        bytes so the report stays the separate path's canonical oracle.
-        """
-        if outcome.early_abort or self._chaos_hook is not None:
-            col_disc, row_disc = side_discrepancies(
-                outcome.products, plan.row_layout, plan.col_layout
-            )
-        else:
-            col_disc = outcome.col_disc
-            row_disc = outcome.row_disc
-        return build_report(
-            col_disc, col_eps, row_disc, row_eps,
-            plan.row_layout, plan.col_layout,
-        )
 
 
 def _operand_dtype(operand) -> np.dtype:

@@ -296,7 +296,7 @@ def group_reports(engine, plan, cfg, enc_a, enc_bs, group: GroupProducts):
 
 
 def make_result(engine, plan, cfg, enc_a, enc_b, sp, report, backend,
-                fallback, fused, fused_fallback, *, copy_c: bool):
+                fallback, *, copy_c: bool):
     """One pair's :class:`AbftResult` (``copy_c`` for views of a stack)."""
     provider = AABFTEpsilonProvider.from_arrays(
         scheme=plan.scheme,
@@ -321,8 +321,6 @@ def make_result(engine, plan, cfg, enc_a, enc_b, sp, report, backend,
         provider=provider,
         backend=backend,
         backend_fallback=fallback,
-        fused=fused,
-        fused_fallback=fused_fallback,
         products=sp,
     )
 
@@ -344,9 +342,6 @@ def run_fused(engine, a_items, b_items, cfg) -> list:
         cfg, first_a.dtype, first_b.dtype, first_a.shape, first_b.shape
     )
     cfg, dtype = plan.config, plan.dtype
-    selection_fallback, fused_fallback = (
-        plan.selection_fallback, plan.fused_fallback
-    )
 
     # --- encode (deduplicated; distinct right operands stacked) ---------
     t0 = time.perf_counter()
@@ -354,73 +349,48 @@ def run_fused(engine, a_items, b_items, cfg) -> list:
     enc_b, stack = _resolve_side(engine, b_items, "b", cfg, plan, dtype)
     engine._add_seconds("encode", time.perf_counter() - t0)
 
-    fused_online = cfg.fusion == "fused"
-    outputs: list = [None] * len(a_items)
     groups: dict[int, list[int]] = {}
     for i, ea in enumerate(enc_a):
         groups.setdefault(id(ea), []).append(i)
-    if fused_online:
-        # --- fused online multiply+check, one tile loop per pair --------
-        t0 = time.perf_counter()
-        check_s = 0.0
-        for idx in groups.values():
-            t1 = time.perf_counter()
-            eps = group_tolerances(
-                plan, cfg, enc_a[idx[0]], [enc_b[i] for i in idx]
-            )
-            check_s += time.perf_counter() - t1  # grid build is check work
-            for j, i in enumerate(idx):
-                ce, re_ = eps.item(j, len(idx))
-                outcome, used, fallback = engine._fused_online(
-                    plan, cfg, enc_a[i], enc_b[i], ce, re_
-                )
-                t1 = time.perf_counter()
-                report = engine._fused_report(outcome, ce, re_, plan)
-                check_s += outcome.check_seconds + (time.perf_counter() - t1)
-                outputs[i] = (outcome.products, report, used, fallback, False)
-            plan.pool.give(eps.buffer)
-        engine._add_seconds(
-            "multiply", max(0.0, time.perf_counter() - t0 - check_s)
+
+    # --- multiply: one side-product call per shared left operand --------
+    t0 = time.perf_counter()
+    stacked_b, stack_handles = stack or (None, ())
+    products = []
+    for idx in groups.values():
+        group_b = [enc_b[i] for i in idx]
+        # The encode's stack is the group's C operand when it holds
+        # exactly the group's right operands, in order.
+        reuse = len(group_b) == len(stack_handles) and all(
+            x is y for x, y in zip(group_b, stack_handles)
         )
-        engine._add_seconds("check", check_s)
-    else:
-        # --- multiply: one side-product call per shared left operand ----
-        t0 = time.perf_counter()
-        stacked_b, stack_handles = stack or (None, ())
-        products = []
-        for idx in groups.values():
-            group_b = [enc_b[i] for i in idx]
-            # The encode's stack is the group's C operand when it holds
-            # exactly the group's right operands, in order.
-            reuse = len(group_b) == len(stack_handles) and all(
-                x is y for x, y in zip(group_b, stack_handles)
+        products.append(
+            group_products(
+                engine, plan, enc_a[idx[0]], group_b,
+                stacked_b if reuse else None,
             )
-            products.append(
-                group_products(
-                    engine, plan, enc_a[idx[0]], group_b,
-                    stacked_b if reuse else None,
-                )
+        )
+    engine._add_seconds("multiply", time.perf_counter() - t0)
+
+    # --- check (tolerance grids and discrepancies batched) --------------
+    t0 = time.perf_counter()
+    outputs: list = [None] * len(a_items)
+    for idx, group in zip(groups.values(), products):
+        reports = group_reports(
+            engine, plan, cfg, enc_a[idx[0]], [enc_b[i] for i in idx],
+            group,
+        )
+        for j, i in enumerate(idx):
+            outputs[i] = (
+                group.items[j], reports[j], group.backend,
+                group.fallback, group.stack is not None,
             )
-        engine._add_seconds("multiply", time.perf_counter() - t0)
-        # --- check (tolerance grids and discrepancies batched) ----------
-        t0 = time.perf_counter()
-        for idx, group in zip(groups.values(), products):
-            reports = group_reports(
-                engine, plan, cfg, enc_a[idx[0]], [enc_b[i] for i in idx],
-                group,
-            )
-            for j, i in enumerate(idx):
-                outputs[i] = (
-                    group.items[j], reports[j], group.backend,
-                    group.fallback, group.stack is not None,
-                )
-        engine._add_seconds("check", time.perf_counter() - t0)
+    engine._add_seconds("check", time.perf_counter() - t0)
 
     return [
         make_result(
             engine, plan, cfg, ea, eb, sp, report, used,
-            selection_fallback or fallback, fused_online, fused_fallback,
-            copy_c=copy_c,
+            plan.selection_fallback or fallback, copy_c=copy_c,
         )
         for ea, eb, (sp, report, used, fallback, copy_c) in zip(
             enc_a, enc_b, outputs

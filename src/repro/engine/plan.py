@@ -2,7 +2,7 @@
 
 Building a protected multiplication involves setup that is identical
 across repeated calls of one signature: the ``(storage, compute)`` dtype
-resolution, backend and fusion negotiation, partitioned layouts for both
+resolution, backend negotiation, partitioned layouts for both
 encoded axes, the bound-scheme object and scratch workspaces.
 :class:`ExecutionPlan` bundles that setup; :class:`PlanCache` keeps plans in
 an LRU keyed by the call signature, so iterative solvers and batch
@@ -133,9 +133,9 @@ class ExecutionPlan:
     storage_dtype:
         The dtype results are stored in (``dtype`` unless a low-precision
         storage format computes in float32).
-    selection_fallback / fused_fallback:
-        The never-silent backend-selection and fusion fallback texts the
-        negotiation produced (``None`` when the request was honoured).
+    selection_fallback:
+        The never-silent backend-selection fallback text the negotiation
+        produced (``None`` when the requested backend was selected).
     replay:
         The fallback counters negotiation incremented; the engine
         increments them again on every call that reuses the plan.
@@ -163,7 +163,6 @@ class ExecutionPlan:
     tile: int | None = None
     storage_dtype: np.dtype | None = None
     selection_fallback: str | None = None
-    fused_fallback: str | None = None
     replay: tuple = ()
     pair_order: np.ndarray | None = None
 

@@ -48,16 +48,11 @@ class ExecutionPolicy:
     exclude_backends:
         Backends negotiation must not consider for this batch (merged
         with the config's own exclusions).
-    fusion:
-        Online-ABFT fusion strategy for this batch: ``"fused"``,
-        ``"separate"`` or ``"auto"`` (negotiated).  ``None`` keeps the
-        config's own ``fusion`` knob.
     """
 
     mode: str = "auto"
     backend: str | None = None
     exclude_backends: tuple[str, ...] = ()
-    fusion: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in EXECUTION_MODES:
@@ -72,11 +67,6 @@ class ExecutionPolicy:
         object.__setattr__(
             self, "exclude_backends", tuple(self.exclude_backends)
         )
-        if self.fusion not in (None, "auto", "fused", "separate"):
-            raise ConfigurationError(
-                f"fusion must be None, 'auto', 'fused' or 'separate', got "
-                f"{self.fusion!r}"
-            )
 
     def replace(self, **changes) -> "ExecutionPolicy":
         """A copy with the given fields replaced (validated again)."""

@@ -12,7 +12,6 @@ from .encode_fused import FusedEncodeResult, fused_encode
 from .matmul import BlockMatmulKernel, sequential_inner_product
 from .matmul_tiled import RegisterTiledMatmulKernel, plan_tiles, tiled_matmul
 from .norms import ColumnNormKernel, RowNormKernel
-from .online_fused import OnlineFusedOutcome, online_fused_matmul, plan_fused_tiles
 from .reduce import TopPReduceKernel
 from .tmr import TmrCompareKernel, TmrOutcome, run_tmr_matmul
 
@@ -26,13 +25,10 @@ __all__ = [
     "EncodeRowChecksumsKernel",
     "FusedEncodeResult",
     "fused_encode",
-    "OnlineFusedOutcome",
     "RowNormKernel",
     "TmrCompareKernel",
     "TmrOutcome",
     "TopPReduceKernel",
-    "online_fused_matmul",
-    "plan_fused_tiles",
     "plan_tiles",
     "run_tmr_matmul",
     "sequential_inner_product",

@@ -161,7 +161,7 @@ class ProtectionPlanner:
     ----------
     base_config:
         The config every per-layer config derives from (block size, p,
-        omega, backend/fusion pins carry over).
+        omega and backend pins carry over).
     coverage_target:
         Minimum fraction of the model's flops that must run protected;
         unchecked layers upgrade (highest intensity first — they are the

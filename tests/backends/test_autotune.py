@@ -138,51 +138,67 @@ class TestAutotuner:
             Autotuner(cache, hysteresis=1.5)
 
 
-class TestFusionTuning:
-    def test_fusion_fields_survive_cache_round_trip(self, tmp_path):
+class TestOlderCacheFiles:
+    """Cache files written while the autotuner also chose between a fused
+    tile loop and the separate check carry four more keys per entry
+    (``fusion``, ``fused_tile_blocks``, ``fused_per_call_s``,
+    ``separate_check_s``); they load, and negotiate the same backend and
+    tile."""
+
+    ENTRIES = {
+        "70x40x50/float64/aabft/bs64/p2": {
+            "backend": "numpy", "tile": None, "per_call_s": 1e-4,
+            "baseline_per_call_s": 1e-4, "fusion": "fused",
+            "fused_tile_blocks": 2, "fused_per_call_s": 9e-5,
+            "separate_check_s": 3e-5,
+        },
+        "150x40x96/float64/aabft/bs64/p2": {
+            "backend": "blocked", "tile": 64, "per_call_s": 1e-4,
+            "baseline_per_call_s": 2e-4, "fusion": "fused",
+            "fused_tile_blocks": None, "fused_per_call_s": 1.5e-4,
+            "separate_check_s": 4e-5,
+        },
+    }
+
+    @pytest.fixture
+    def tuner(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("AABFT_BACKEND", raising=False)
         path = tmp_path / "autotune.json"
-        cache = AutotuneCache(path)
-        planted = TunedChoice(
-            backend="numpy", tile=None, per_call_s=1.0,
-            baseline_per_call_s=1.0, fusion="fused", fused_tile_blocks=None,
-            fused_per_call_s=0.8, separate_check_s=0.3,
+        path.write_text(json.dumps({"version": 1, "entries": self.ENTRIES}))
+        return Autotuner(AutotuneCache(path))
+
+    def test_negotiation_and_bytes_match_the_entries(self, tuner):
+        from repro.backends import get_backend, negotiate
+        from repro.engine import MatmulEngine
+
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-1, 1, (70, 40))
+        b = rng.uniform(-1, 1, (40, 50))
+        wide = rng.uniform(-1, 1, (150, 40))
+        tall = rng.uniform(-1, 1, (40, 96))
+        cfg = AbftConfig()
+        sel = negotiate(cfg, 70, 40, 50, np.float64, autotuner=tuner)
+        assert (sel.backend, sel.tile, sel.source) == ("numpy", None, "default")
+        sel = negotiate(cfg, 150, 40, 96, np.float64, autotuner=tuner)
+        assert (sel.backend, sel.tile, sel.source) == (
+            "blocked", 64, "autotuned"
         )
-        cache.put("k", planted)
-        reloaded = AutotuneCache(path).get("k")
-        assert reloaded == planted
-        assert reloaded.fusion == "fused"
-        assert reloaded.fused_tile_blocks is None
+        with MatmulEngine(autotuner=tuner) as engine:
+            one = engine.matmul(a, b)
+            two = engine.matmul(wide, tall)
+        assert one.backend == "numpy" and one.backend_fallback is None
+        assert one.c.tobytes() == np.matmul(a, b).tobytes()
+        assert not one.detected
+        assert two.backend == "blocked" and two.backend_fallback is None
+        tiled = get_backend("numpy").matmul(wide, tall, tile=64)
+        assert two.c.tobytes() == tiled.tobytes()
+        assert not two.detected
 
-    def test_decision_carries_timed_evidence(self, cache):
-        tuner = Autotuner(cache, repeats=1)
-        choice = tuner.tune(96, 64, 96)
-        assert choice.fusion in ("fused", "separate")
-        assert choice.fused_per_call_s is not None
-        assert choice.separate_check_s is not None
-        if choice.fusion == "fused":
-            # Only where it wins: the fused evidence must beat the
-            # separate GEMM + grid-check total.
-            assert choice.fused_per_call_s < (
-                choice.per_call_s + choice.separate_check_s
-            )
-
-    def test_total_hysteresis_keeps_separate(self, cache):
-        tuner = Autotuner(cache, repeats=1, hysteresis=0.999)
-        choice = tuner.tune(96, 64, 96)
-        assert choice.fusion == "separate"
-        assert choice.fused_tile_blocks is None
-
-    def test_candidate_tile_blocks_subdivide_the_encoded_result(self, cache):
-        tuner = Autotuner(cache, repeats=1)
-        blocks = tuner.candidate_tile_blocks(256, 256, 64)
-        assert blocks == [2]  # 2*65 < 260; 4*65 does not subdivide
-        assert tuner.candidate_tile_blocks(64, 64, 64) == []
-
-    def test_fusion_decisions_are_counted(self, cache):
-        registry = MetricsRegistry()
-        tuner = Autotuner(cache, repeats=1, metrics_registry=registry)
-        tuner.tune(96, 64, 96)
-        snap = registry.snapshot()["abft_fused_autotune_total"]
-        decided = {v["labels"]["decision"]: v["value"] for v in snap["values"]}
-        assert sum(decided.values()) == 1.0
-        assert set(decided) <= {"fused", "separate", "unsupported"}
+    def test_rewrite_drops_the_retired_keys(self, tuner):
+        tuner.cache.put("k", CHOICE)
+        payload = json.loads(tuner.cache.path.read_text())
+        assert set(payload["entries"]) == set(self.ENTRIES) | {"k"}
+        for entry in payload["entries"].values():
+            assert set(entry) == {
+                "backend", "tile", "per_call_s", "baseline_per_call_s"
+            }

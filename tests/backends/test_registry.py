@@ -116,9 +116,9 @@ class TestRegistry:
         assert "numpy" in registry and "nope" not in registry
         assert registry.names()[0] == "numpy"
 
-    def test_default_registry_ships_three_backends(self):
+    def test_default_registry_ships_two_backends(self):
         names = default_registry().names()
-        assert names == ["numpy", "blocked", "cupy"]
+        assert names == ["numpy", "blocked"]
         assert get_backend("numpy").availability() == (True, None)
 
     def test_describe_reports_availability(self):

@@ -82,9 +82,9 @@ class TestDeprecationShims:
         a = rng.uniform(-1, 1, (32, 32))
         from repro.abft import aabft_matmul
 
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            result = aabft_matmul(a, a, 16)
-        assert result.row_layout.block_size == 16
+        with pytest.raises(TypeError):
+            aabft_matmul(a, a, 16)
+        assert aabft_matmul(a, a, block_size=16).row_layout.block_size == 16
 
     def test_keyword_call_does_not_warn(self):
         import warnings

@@ -137,8 +137,8 @@ class TestExecutionPolicy:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ConfigurationError, match="backend"):
             ExecutionPolicy(backend=3)
-        with pytest.raises(ConfigurationError, match="fusion"):
-            ExecutionPolicy(fusion="online")
+        with pytest.raises(TypeError, match="fusion"):
+            ExecutionPolicy(fusion="separate")  # retired field
 
     def test_replace_revalidates(self):
         policy = ExecutionPolicy()

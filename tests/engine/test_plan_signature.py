@@ -6,7 +6,7 @@ import pytest
 from repro.backends.autotune import Autotuner, AutotuneCache, TunedChoice
 from repro.backends.blocked import BlockedBackend
 from repro.backends.numpy_backend import NumpyBackend
-from repro.backends.registry import ENV_BACKEND, ENV_FUSION, BackendRegistry
+from repro.backends.registry import ENV_BACKEND, BackendRegistry
 from repro.engine import AbftConfig, MatmulEngine
 from repro.errors import ConfigurationError
 from repro.telemetry import MetricsRegistry
@@ -21,7 +21,7 @@ def operands():
 @pytest.fixture
 def engine(tmp_path, monkeypatch):
     monkeypatch.delenv(ENV_BACKEND, raising=False)
-    monkeypatch.delenv(ENV_FUSION, raising=False)
+    monkeypatch.delenv("AABFT_FUSION", raising=False)
     reg = MetricsRegistry()
     backends = BackendRegistry()  # private: tests register into it
     backends.register("numpy", NumpyBackend)
@@ -64,13 +64,19 @@ class TestSignatureKey:
         stats = engine.stats()
         assert (stats.plan_misses, stats.plan_hits) == (2, 1)
 
-    def test_env_fusion_pin_reroutes_the_next_call(
+    def test_retired_fusion_env_var_keys_nothing(
         self, engine, operands, monkeypatch
     ):
         a, b = operands
-        assert not engine.matmul(a, b).fused
-        monkeypatch.setenv(ENV_FUSION, "fused")
-        assert engine.matmul(a, b).fused
+        first = engine.matmul(a, b)
+        monkeypatch.setenv("AABFT_FUSION", "fused")
+        second = engine.matmul(a, b)
+        assert engine.stats().plan_misses == 1
+        assert np.array_equal(first.c, np.matmul(a, b))
+        assert first.c.tobytes() == second.c.tobytes()
+        for x, y in ((first.report.column_disc, second.report.column_disc),
+                     (first.report.row_disc, second.report.row_disc)):
+            assert x.tobytes() == y.tobytes()
 
     def test_dtypes_and_shapes_key_separately(self, engine, operands):
         a, b = operands
@@ -119,7 +125,7 @@ class TestSignatureKey:
             engine.matmul(a, b)
         assert counter(
             engine, "abft_backend_autotune_total", event="cache_miss"
-        ) == 2.0  # one backend and one fusion lookup, at the one build
+        ) == 1.0  # one backend lookup, at the one build
 
     def test_registering_a_backend_invalidates_the_cached_negotiation(
         self, engine, operands
@@ -170,20 +176,6 @@ class TestFallbacksReplayed:
             engine, "abft_backend_fallbacks_total",
             backend="offline", reason="selection",
         ) == 2.0  # once per batch: one plan lookup each
-
-    def test_low_precision_fused_fallback_counts_every_call(
-        self, engine, operands
-    ):
-        a, b = operands
-        cfg = AbftConfig(scheme="adaptive", dtype="float16", fusion="fused")
-        a16, b16 = a.astype(np.float16), b.astype(np.float16)
-        for calls in range(1, 3):
-            result = engine.matmul(a16, b16, config=cfg)
-            assert not result.fused
-            assert "low-precision" in result.fused_fallback
-            assert counter(
-                engine, "abft_fused_fallbacks_total", reason="low_precision"
-            ) == calls
 
     def test_errors_cache_nothing(self, engine, operands):
         a, b = operands

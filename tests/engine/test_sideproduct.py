@@ -446,11 +446,6 @@ class TestNoInterleavedLayout:
             engine.execute_batch(
                 [(a, b) for b in bs], policy=ExecutionPolicy(mode=mode)
             )
-        for tile_blocks in (None, 1):
-            cfg = AbftConfig(
-                block_size=16, fusion="fused", fused_tile_blocks=tile_blocks
-            )
-            assert fresh_engine(cfg).matmul(a, bs[0]).fused
         fresh_engine(AbftConfig(backend="blocked", gemm_tile=32)).matmul(
             a, bs[0]
         )
@@ -469,10 +464,6 @@ def _route_results(a, bs, dtype_cfg):
         routes[f"batch-{mode}"] = fresh_engine(dtype_cfg).execute_batch(
             [(a, b) for b in bs], policy=ExecutionPolicy(mode=mode)
         )
-    fused_cfg = dtype_cfg.replace(fusion="fused", fused_tile_blocks=None)
-    routes["fused-online"] = [
-        fresh_engine(fused_cfg).matmul(a, b) for b in bs
-    ]
     blocked_cfg = dtype_cfg.replace(backend="blocked")
     routes["blocked"] = [fresh_engine(blocked_cfg).matmul(a, b) for b in bs]
     return routes

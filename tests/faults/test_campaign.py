@@ -190,13 +190,11 @@ class TestBackendDispatch:
 
     def test_unavailable_backend_records_fallback(self):
         campaign = FaultCampaign(
-            CampaignConfig(**self.base_kwargs(backend="cupy"))
+            CampaignConfig(**self.base_kwargs(backend="missing"))
         )
         campaign.prepare()
-        if campaign.backend_fallback is None:  # pragma: no cover - CUDA host
-            pytest.skip("cupy is available here")
         assert campaign.backend_used == "numpy"
-        assert "cupy" in campaign.backend_fallback
+        assert "missing" in campaign.backend_fallback
 
     def test_backend_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -202,10 +202,8 @@ class TestStackReuse:
             return real(engine, plan, enc_a, enc_bs, stacked_b)
 
         monkeypatch.setattr(fused, "group_products", spy)
-        # The fused online tile loop multiplies per pair; pin it off.
-        cfg = AbftConfig(fusion="separate")
-        results = MatmulEngine(cfg).execute_batch(pairs, policy=FUSED)
-        serial = [MatmulEngine(cfg).matmul(a, b) for a, b in pairs]
+        results = MatmulEngine().execute_batch(pairs, policy=FUSED)
+        serial = [MatmulEngine().matmul(a, b) for a, b in pairs]
         assert_results_bitwise_equal(results, serial)
         return seen
 

@@ -436,13 +436,28 @@ class TestBackendRouting:
         assert response.rejected_reason == "invalid_backend"
 
     def test_unavailable_pin_serves_with_recorded_fallback(self, operands):
+        from repro.backends import BackendRegistry, BlockedBackend, NumpyBackend
+
         a, bs = operands
-        response = self.run_one(make_server(), a, bs[0], backend="cupy")
-        if response.backend_fallback is None:  # pragma: no cover - CUDA host
-            pytest.skip("cupy is available here")
+
+        class Offline(BlockedBackend):
+            def availability(self):
+                return False, "no device"
+
+        backends = BackendRegistry()
+        backends.register("numpy", NumpyBackend)
+        backends.register("offline", Offline)
+        registry = MetricsRegistry()
+        server = make_server(
+            registry=registry,
+            engine=MatmulEngine(registry=registry, backends=backends),
+        )
+        response = self.run_one(server, a, bs[0], backend="offline")
         assert response.status is VerificationStatus.FULL
         assert response.backend == "numpy"
-        assert "cupy" in response.backend_fallback
+        assert "offline" in response.backend_fallback
+        assert "no device" in response.backend_fallback
+        assert np.array_equal(response.c, np.matmul(a, bs[0]))
 
     def test_exclude_backends_merges_into_config(self, operands):
         a, bs = operands

@@ -417,7 +417,6 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "numpy" in out
         assert "blocked" in out
-        assert "cupy" in out
 
     def test_autotune_caches_and_reuses(self, capsys, tmp_path):
         cache = tmp_path / "autotune.json"
