@@ -30,9 +30,6 @@ Package map (see DESIGN.md for the full inventory):
   (see docs/OBSERVABILITY.md)
 - :mod:`repro.serve` — micro-batching request scheduler with backpressure
   and adaptive degradation (``aabft serve`` / ``aabft loadgen``)
-- :mod:`repro.backends` — pluggable compute backends (numpy / blocked)
-  with capability negotiation and a backend/tile autotuner
-  (``aabft backends`` / ``aabft autotune``)
 - :mod:`repro.chaos` — declarative chaos recipes + SLO harness over the
   serving layer (``aabft chaos run``, the ``chaos-slo`` CI gate)
 - :mod:`repro.cluster` — sharded multi-process serving cluster with
@@ -61,16 +58,6 @@ from .abft import (
     protected_solve,
     sea_abft_matmul,
     weighted_abft_matmul,
-)
-from .backends import (
-    Autotuner,
-    AutotuneCache,
-    Backend,
-    BackendCapabilities,
-    BackendRegistry,
-    TunedChoice,
-    default_registry,
-    get_backend,
 )
 from .engine import (
     EXECUTION_MODES,
@@ -159,11 +146,6 @@ __all__ = [
     "AbftConfig",
     "AbftResult",
     "AnalyticalBound",
-    "Autotuner",
-    "AutotuneCache",
-    "Backend",
-    "BackendCapabilities",
-    "BackendRegistry",
     "BoundContext",
     "BoundScheme",
     "BoundSchemeError",
@@ -222,7 +204,6 @@ __all__ = [
     "ShapeError",
     "StageCost",
     "StageCosts",
-    "TunedChoice",
     "VerificationStatus",
     "ErrorMap",
     "aabft_matmul",
@@ -231,8 +212,6 @@ __all__ = [
     "correct_single_error",
     "default_engine",
     "default_quick_suite",
-    "default_registry",
-    "get_backend",
     "fixed_abft_matmul",
     "get_registry",
     "online_abft_matmul",

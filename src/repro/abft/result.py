@@ -61,8 +61,8 @@ class AbftResult:
     ----------
     c:
         The data result matrix — what an unprotected ``a @ b`` returns.
-        On the engine it is the compute backend's GEMM of the raw
-        operands itself (on the numpy backend, ``np.matmul``'s bytes).
+        On the engine it is ``np.matmul`` of the raw operands, byte for
+        byte.
     c_fc:
         The full-checksum result in encoded coordinates.  Engine results
         carry the side products instead and assemble this matrix on first
@@ -74,13 +74,6 @@ class AbftResult:
     provider:
         The epsilon provider used for the check (reusable for re-checks and
         correction verification).
-    backend:
-        The compute backend that executed the GEMM stage (``None`` for
-        paths predating backend dispatch, e.g. fabricated results).
-    backend_fallback:
-        ``None`` when the selected backend served the call; otherwise the
-        never-silent record of why execution fell back to ``numpy``
-        (selection-time rejection or dispatch-time failure).
     products:
         The :class:`~repro.kernels.sideproduct.SideProducts` ``C``, ``R``,
         ``K`` and ``X`` the engine computed (``None`` for results built
@@ -95,8 +88,6 @@ class AbftResult:
         row_layout: PartitionedLayout,
         col_layout: PartitionedLayout,
         provider: EpsilonProvider,
-        backend: str | None = None,
-        backend_fallback: str | None = None,
         products=None,
     ) -> None:
         if c_fc is None and products is None:
@@ -107,8 +98,6 @@ class AbftResult:
         self.row_layout = row_layout
         self.col_layout = col_layout
         self.provider = provider
-        self.backend = backend
-        self.backend_fallback = backend_fallback
         self.products = products
 
     @property
@@ -130,5 +119,5 @@ class AbftResult:
     def __repr__(self) -> str:
         return (
             f"AbftResult(shape={self.c.shape}, dtype={self.c.dtype}, "
-            f"detected={self.detected}, backend={self.backend!r})"
+            f"detected={self.detected})"
         )

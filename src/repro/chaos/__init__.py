@@ -10,7 +10,7 @@ metric inventory, and ``aabft chaos run`` / ``aabft ci-gate`` for the
 CLI entry points.
 """
 
-from .harness import InjectedFault, run_chaos
+from .harness import run_chaos
 from .recipe import (
     CHAOS_KINDS,
     ChaosRecipe,
@@ -34,6 +34,5 @@ __all__ = [
     "evaluate_slo",
     "ChaosReport",
     "RecipeOutcome",
-    "InjectedFault",
     "run_chaos",
 ]

@@ -14,11 +14,6 @@ Injection mechanics per kind:
   the stall lands on whichever thread executes the stage — single-call,
   serial and fused batch paths alike — without polluting the stage
   timers.
-* ``backend_failure`` raises :class:`InjectedFault` from the dispatch
-  hook for the targeted backend and simultaneously submits probe
-  requests pinned to that backend, so the window exercises the engine's
-  never-silent numpy fallback even when negotiation would otherwise
-  never pick the target.
 * ``queue_burst`` fires a synchronous volley of extra submissions at
   window start; their futures are tracked and tallied with the rest.
 * ``bitflip`` XORs a high mantissa bit of one element of the in-flight
@@ -68,11 +63,7 @@ from .recipe import ChaosRecipe
 from .report import ChaosReport, RecipeOutcome
 from .slo import BurnSample, SLOSpec, burn_rates, evaluate_slo
 
-__all__ = ["InjectedFault", "run_chaos"]
-
-
-class InjectedFault(RuntimeError):
-    """Raised by the dispatch injector to emulate a backend failure."""
+__all__ = ["run_chaos"]
 
 
 class _SkewClock:
@@ -126,28 +117,6 @@ class _StallInjector(_Injector):
             time.sleep(self.recipe.intensity)
 
 
-class _DispatchFailInjector(_Injector):
-    def handle(self, event: str, **kwargs) -> None:
-        if event != "dispatch" or kwargs.get("backend") != self.recipe.site:
-            return
-        if self.rng.random() < self.recipe.intensity:
-            self._record()
-            raise InjectedFault(
-                f"chaos: injected dispatch failure on backend "
-                f"{self.recipe.site!r}"
-            )
-
-    def fire(self, ctx: "_HarnessContext") -> None:
-        # Background traffic negotiates its own backend (usually numpy),
-        # so pin a few probes to the target to guarantee the window
-        # actually crosses the fallback path.
-        ctx.submit_extra(
-            count=4,
-            label=f"probe-{self.recipe.name}",
-            backend=self.recipe.site,
-        )
-
-
 class _BitflipInjector(_Injector):
     #: High mantissa bits of binary64 — flips here are always critical,
     #: so a clean checksum pass-through would be a genuine silent wrong
@@ -196,7 +165,6 @@ class _WorkerKillInjector(_Injector):
 
 _INJECTORS = {
     "stage_stall": _StallInjector,
-    "backend_failure": _DispatchFailInjector,
     "bitflip": _BitflipInjector,
     "queue_burst": _QueueBurstInjector,
     "clock_skew": _ClockSkewInjector,
@@ -243,9 +211,7 @@ class _HarnessContext:
         with self._lock:
             self.records.append((response, latency, wrong))
 
-    def submit_extra(
-        self, *, count: int, label: str, backend: str | None = None
-    ) -> None:
+    def submit_extra(self, *, count: int, label: str) -> None:
         m, n, q = self._shape
         for _ in range(count):
             with self._lock:
@@ -260,7 +226,6 @@ class _HarnessContext:
                 b,
                 deadline_s=self._deadline_s,
                 request_id=f"chaos-{label}-{seq}",
-                backend=backend,
             )
             fut.add_done_callback(
                 lambda f, t0=t0, ref=ref: self._on_done(f, t0, ref)
@@ -387,7 +352,7 @@ def _run_phase(
     hook_injectors = [
         inj
         for inj in injectors
-        if isinstance(inj, (_StallInjector, _DispatchFailInjector, _BitflipInjector))
+        if isinstance(inj, (_StallInjector, _BitflipInjector))
     ]
     horizon_s = max(r.end_s for r in recipes)
     t0 = time.monotonic()

@@ -13,12 +13,6 @@ slowdown and loss, not just silent data corruption:
     ``multiply`` / ``check``) via the engine's chaos seam.  ``site`` is
     the stage name; ``intensity`` is the stall in seconds per stage
     completion.
-``backend_failure``
-    Force GEMM dispatch on a non-numpy backend to raise, exercising the
-    engine's never-silent numpy fallback.  ``site`` is the backend name
-    (``"numpy"`` is refused — it is the terminal fallback and a failure
-    there would strand requests); ``intensity`` is the failure
-    probability per dispatch in ``[0, 1]``.
 ``queue_burst``
     Saturate the admission queue with a burst of extra requests at the
     window start.  ``site`` is ``"admission"``; ``intensity`` is the
@@ -61,7 +55,6 @@ __all__ = [
 #: Supported fault kinds, in documentation order.
 CHAOS_KINDS = (
     "stage_stall",
-    "backend_failure",
     "queue_burst",
     "bitflip",
     "clock_skew",
@@ -70,10 +63,9 @@ CHAOS_KINDS = (
 
 _STAGES = ("encode", "multiply", "check")
 
-#: Expected ``site`` values per kind (``None`` = any non-empty string).
+#: Expected ``site`` values per kind.
 _SITE_RULES = {
     "stage_stall": _STAGES,
-    "backend_failure": None,
     "queue_burst": ("admission",),
     "bitflip": ("gemm",),
     "clock_skew": ("server",),
@@ -90,13 +82,11 @@ class ChaosRecipe:
     kind:
         One of :data:`CHAOS_KINDS`.
     site:
-        Where the fault lands — stage name for ``stage_stall``, backend
-        name for ``backend_failure``, fixed tokens otherwise (see the
-        module docstring).
+        Where the fault lands — stage name for ``stage_stall``, fixed
+        tokens otherwise (see the module docstring).
     intensity:
         Kind-specific magnitude: seconds (``stage_stall``,
-        ``clock_skew``), probability (``backend_failure``, ``bitflip``)
-        or request count (``queue_burst``).
+        ``clock_skew``), probability (``bitflip``) or request count (``queue_burst``).
     start_s / duration_s:
         The schedule window, in seconds relative to harness start.  The
         fault is armed for ``[start_s, start_s + duration_s)``.
@@ -120,20 +110,12 @@ class ChaosRecipe:
                 f"unknown chaos kind {self.kind!r}; expected one of {CHAOS_KINDS}"
             )
         allowed = _SITE_RULES[self.kind]
-        if allowed is not None and self.site not in allowed:
+        if self.site not in allowed:
             raise ConfigurationError(
                 f"chaos kind {self.kind!r} targets sites {allowed}, "
                 f"got {self.site!r}"
             )
-        if not self.site:
-            raise ConfigurationError("chaos recipe needs a non-empty site")
-        if self.kind == "backend_failure" and self.site == "numpy":
-            raise ConfigurationError(
-                "backend_failure cannot target 'numpy': it is the terminal "
-                "never-silent fallback, so an injected failure there would "
-                "strand requests instead of exercising recovery"
-            )
-        if self.kind in ("backend_failure", "bitflip"):
+        if self.kind == "bitflip":
             if not 0.0 <= self.intensity <= 1.0:
                 raise ConfigurationError(
                     f"{self.kind} intensity is a probability in [0, 1], "
@@ -231,10 +213,6 @@ def default_quick_suite() -> list[ChaosRecipe]:
         ChaosRecipe(
             kind="stage_stall", site="multiply", intensity=0.002,
             start_s=0.0, duration_s=0.8, seed=1,
-        ),
-        ChaosRecipe(
-            kind="backend_failure", site="blocked", intensity=1.0,
-            start_s=0.8, duration_s=0.8, seed=2,
         ),
         ChaosRecipe(
             kind="queue_burst", site="admission", intensity=64,

@@ -7,9 +7,7 @@ It runs two gates and exits nonzero when either fails:
   flips, the paper's Figure 4 setup at reduced scale) must detect at
   least ``coverage_floor`` of the *critical* errors with the A-ABFT
   tolerances, and the fault-free workload must pass every scheme's check
-  (no baseline false positives).  The gate runs once per compute backend
-  (numpy plus every available non-numpy backend by default) so the
-  detection floor holds inside backend-dispatched tile compute too;
+  (no baseline false positives);
 * **pipeline-coverage** — faults injected into results produced by the
   fused ``execute_batch`` executor (one stacked GEMM per shared left
   operand) must be detected by the results' own providers at the same
@@ -26,13 +24,13 @@ It runs two gates and exits nonzero when either fails:
 * **throughput** — a warm plan-cached :class:`~repro.engine.MatmulEngine`
   micro-benchmark must stay within ``throughput_tolerance`` of the
   committed per-call baseline in ``BENCH_engine.json``;
-* **chaos-slo** — a quick chaos-recipe suite (stage stalls, backend
-  dispatch failures, queue bursts, kernel bit-flips, deadline clock
-  skew, plus worker-process kills against a sharded cluster frontend)
-  runs against live serving stacks under closed-loop load and every
-  declared SLO must hold: the p99 ceiling, the zero-silent-wrong-answer
-  invariant, exact ``abft_serve_*`` counter reconciliation and the
-  multi-window error-budget burn-rate limit.
+* **chaos-slo** — a quick chaos-recipe suite (stage stalls, queue
+  bursts, kernel bit-flips, deadline clock skew, plus worker-process
+  kills against a sharded cluster frontend) runs against live serving
+  stacks under closed-loop load and every declared SLO must hold: the
+  p99 ceiling, the zero-silent-wrong-answer invariant, exact
+  ``abft_serve_*`` counter reconciliation and the multi-window
+  error-budget burn-rate limit.
 
 All gates publish their measurements as ``abft_ci_gate_*`` gauges, so a
 ``--telemetry-out`` JSON-lines artifact records exactly what CI saw.
@@ -56,7 +54,6 @@ from .telemetry import MetricsRegistry, get_registry, span
 __all__ = [
     "GateResult",
     "coverage_gate",
-    "default_gate_backends",
     "model_coverage_gate",
     "pipeline_coverage_gate",
     "throughput_gate",
@@ -109,17 +106,12 @@ def coverage_gate(
     seed: int = 2014,
     n: int | None = None,
     num_injections: int | None = None,
-    backend: str = "numpy",
     registry: MetricsRegistry | None = None,
 ) -> GateResult:
     """Run a fault-injection campaign and gate on A-ABFT's detection rate.
 
     ``n``/``num_injections`` override the quick/full campaign scale (the
-    tests use tiny campaigns; CI uses the defaults).  ``backend`` routes
-    the campaign's reference multiplication through a named compute
-    backend so injection sites land inside backend tile compute; the gate
-    is named ``coverage`` for numpy and ``coverage[<backend>]``
-    otherwise.
+    tests use tiny campaigns; CI uses the defaults).
     """
     from .faults.campaign import CampaignConfig, FaultCampaign
     from .workloads import SUITE_UNIT
@@ -137,62 +129,35 @@ def coverage_gate(
         p=2,
         seed=seed,
         schemes=("aabft", "sea"),
-        backend=backend,
     )
-    with span(
-        "ci_gate.coverage",
-        registry=reg,
-        n=n,
-        injections=num_injections,
-        backend=backend,
-    ):
+    with span("ci_gate.coverage", registry=reg, n=n, injections=num_injections):
         campaign = FaultCampaign(config, registry=reg)
         result = campaign.run()
     rate = result.detection_rate("aabft")
     rate = 0.0 if math.isnan(rate) else rate
     critical = result.num_critical()
     baseline_clean = all(result.false_positive_free.values())
-    backend_used = campaign.backend_used
 
-    if backend == "numpy":
-        gauges = reg.gauge(
-            "abft_ci_gate_coverage",
-            "Coverage-gate measurements of the last ci-gate run",
-            ("quantity",),
-        )
-        gauges.labels(quantity="detection_rate").set(rate)
-        gauges.labels(quantity="critical_errors").set(critical)
-        gauges.labels(quantity="floor").set(floor)
-        gauges.labels(quantity="baseline_clean").set(
-            1.0 if baseline_clean else 0.0
-        )
-    by_backend = reg.gauge(
-        "abft_ci_gate_coverage_by_backend",
-        "Coverage-gate measurements per compute backend",
-        ("backend", "quantity"),
+    gauges = reg.gauge(
+        "abft_ci_gate_coverage",
+        "Coverage-gate measurements of the last ci-gate run",
+        ("quantity",),
     )
-    by_backend.labels(backend=backend, quantity="detection_rate").set(rate)
-    by_backend.labels(backend=backend, quantity="critical_errors").set(critical)
-    by_backend.labels(backend=backend, quantity="floor").set(floor)
-    by_backend.labels(backend=backend, quantity="baseline_clean").set(
+    gauges.labels(quantity="detection_rate").set(rate)
+    gauges.labels(quantity="critical_errors").set(critical)
+    gauges.labels(quantity="floor").set(floor)
+    gauges.labels(quantity="baseline_clean").set(
         1.0 if baseline_clean else 0.0
     )
 
-    # The per-backend gate exists to exercise that backend's tile compute;
-    # a fallback means it silently re-measured numpy, so fail loudly.
-    fell_back = backend_used != backend
-    passed = baseline_clean and critical > 0 and rate >= floor and not fell_back
+    passed = baseline_clean and critical > 0 and rate >= floor
     detail = (
         f"A-ABFT detected {rate:.1%} of {critical} critical errors "
         f"(floor {floor:.1%}, {num_injections} injections at n={n}, "
-        f"backend {backend_used!r}, "
         f"fault-free baseline {'clean' if baseline_clean else 'FLAGGED'})"
     )
-    if fell_back:
-        detail += f"; backend fell back: {campaign.backend_fallback}"
-    gate_name = "coverage" if backend == "numpy" else f"coverage[{backend}]"
     return GateResult(
-        gate=gate_name, passed=passed, measured=rate, threshold=floor,
+        gate="coverage", passed=passed, measured=rate, threshold=floor,
         detail=detail,
     )
 
@@ -596,22 +561,6 @@ def chaos_slo_gate(
     )
 
 
-def default_gate_backends() -> tuple[str, ...]:
-    """``numpy`` plus every available deterministic non-numpy backend."""
-    from .backends import default_registry
-
-    registry = default_registry()
-    names = ["numpy"]
-    for name in registry.names():
-        if name == "numpy":
-            continue
-        backend = registry.get(name)
-        available, _ = backend.availability()
-        if available and backend.capabilities().deterministic:
-            names.append(name)
-    return tuple(names)
-
-
 def run_ci_gate(
     *,
     quick: bool = True,
@@ -619,7 +568,6 @@ def run_ci_gate(
     throughput_tolerance: float = DEFAULT_THROUGHPUT_TOLERANCE,
     baseline_path: str | Path | None = None,
     seed: int = 2014,
-    backends: tuple[str, ...] | None = None,
     chaos: bool = True,
     chaos_recipes_path: str | Path | None = None,
     chaos_slo=None,
@@ -628,26 +576,15 @@ def run_ci_gate(
 ) -> tuple[int, list[GateResult]]:
     """Run all gates; returns ``(exit_code, results)`` with 0 == all pass.
 
-    The coverage gate runs once per entry of ``backends`` (default:
-    :func:`default_gate_backends` — numpy plus every available
-    deterministic backend), so the detection floor is held inside each
-    backend's dispatched tile compute, not just the serial path.  The
-    chaos-SLO gate runs last (``chaos=False`` skips it; pass
+    The chaos-SLO gate runs last (``chaos=False`` skips it; pass
     ``chaos_recipes_path`` / ``chaos_slo`` to override the built-in quick
     suite and default :class:`~repro.chaos.SLOSpec`).
     """
     reg = registry if registry is not None else get_registry()
-    if backends is None:
-        backends = default_gate_backends()
     results = [
         coverage_gate(
-            floor=coverage_floor,
-            quick=quick,
-            seed=seed,
-            backend=backend,
-            registry=reg,
+            floor=coverage_floor, quick=quick, seed=seed, registry=reg
         )
-        for backend in backends
     ]
     results.append(
         pipeline_coverage_gate(

@@ -18,8 +18,6 @@ Commands
 ``aabft model plan``      — per-layer protection plan for a model workload
 ``aabft model run``       — execute a model through the protected engine
 ``aabft model bench``     — mixed-vs-full-vs-unchecked model benchmark
-``aabft backends``        — registered compute backends + availability
-``aabft autotune``        — time backend/tile candidates, cache the winners
 
 The ``--full`` flag switches to the paper's complete 512..8192 sweeps
 (slow: exact arithmetic and functional simulation on a CPU).
@@ -111,13 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="throughput baseline JSON (default: BENCH_engine.json)",
-    )
-    gate.add_argument(
-        "--backends",
-        metavar="NAMES",
-        default=None,
-        help="comma-separated backends the coverage gate must hold on "
-        "(default: numpy plus every available deterministic backend)",
     )
     gate.add_argument(
         "--chaos-recipes",
@@ -241,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cserve.add_argument(
         "--seed", type=int, default=0, help="default RNG seed for operands"
-    )
-    cserve.add_argument(
-        "--autotune-cache",
-        metavar="PATH",
-        default=None,
-        help="shared on-disk autotune cache every worker consults",
     )
 
     chaos = sub.add_parser(
@@ -488,58 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.50,
         help="allowed mixed-plan slowdown vs the baseline (default 0.50)",
     )
-
-    backends = sub.add_parser(
-        "backends",
-        help="list registered compute backends, capabilities, availability",
-    )
-    backends.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 when any registered backend is unavailable",
-    )
-
-    autotune = sub.add_parser(
-        "autotune",
-        help="time backend/tile candidates per shape and cache the winners",
-    )
-    autotune.add_argument(
-        "--shapes",
-        metavar="MxNxQ[,MxNxQ...]",
-        default="256x256x256",
-        help="comma-separated problem shapes to tune (default 256x256x256)",
-    )
-    autotune.add_argument(
-        "--block-size", type=int, default=64, help="checksum block size"
-    )
-    autotune.add_argument("--p", type=int, default=2, help="top-p parameter")
-    autotune.add_argument(
-        "--scheme",
-        choices=("aabft", "sea", "fixed"),
-        default="aabft",
-        help="bound scheme of the tuned config",
-    )
-    autotune.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats per candidate"
-    )
-    autotune.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=None,
-        help="autotune cache file (default: $AABFT_AUTOTUNE_CACHE or "
-        "~/.cache/aabft/autotune.json)",
-    )
-    autotune.add_argument(
-        "--force",
-        action="store_true",
-        help="re-time even when the cache already holds a winner",
-    )
-    autotune.add_argument(
-        "--expect-cached",
-        action="store_true",
-        help="assert every shape is served from the cache (no timing); "
-        "exits 1 otherwise — the CI smoke check for cache reuse",
-    )
     return parser
 
 
@@ -678,18 +611,12 @@ def _cmd_ci_gate(args: argparse.Namespace) -> int:
         if args.throughput_tolerance is not None
         else DEFAULT_THROUGHPUT_TOLERANCE
     )
-    backends = (
-        tuple(name.strip() for name in args.backends.split(",") if name.strip())
-        if args.backends is not None
-        else None
-    )
     code, results = run_ci_gate(
         quick=args.quick,
         coverage_floor=floor,
         throughput_tolerance=tolerance,
         baseline_path=args.baseline,
         seed=args.seed,
-        backends=backends,
         chaos=not args.skip_chaos,
         chaos_recipes_path=args.chaos_recipes,
         chaos_report_dir=args.chaos_report,
@@ -824,7 +751,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             default_deadline_s=args.deadline_s,
         ),
         num_workers=args.workers,
-        autotune_cache=args.autotune_cache,
     )
     stream = sys.stdin if args.requests == "-" else open(args.requests)
     futures = []
@@ -1175,98 +1101,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
     return code
 
 
-def _cmd_backends(args: argparse.Namespace) -> int:
-    from .backends import default_registry
-
-    registry = default_registry()
-    rows = registry.describe()
-    name_w = max(len(row["name"]) for row in rows)
-    unavailable = 0
-    for row in rows:
-        if row["available"]:
-            status = "available"
-        else:
-            status = f"unavailable: {row['reason']}"
-            unavailable += 1
-        flags = []
-        if not row["deterministic"]:
-            flags.append("non-deterministic")
-        flag_text = f" [{', '.join(flags)}]" if flags else ""
-        print(
-            f"{row['name']:<{name_w}}  {status:<40} "
-            f"dtypes={','.join(row['dtypes'])}{flag_text}"
-        )
-        print(f"{'':<{name_w}}  {row['description']}")
-    if args.strict and unavailable:
-        print(f"FAIL: {unavailable} backend(s) unavailable", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _parse_shapes(text: str) -> list[tuple[int, int, int]]:
-    shapes = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        parts = item.lower().split("x")
-        if len(parts) != 3:
-            raise ValueError(f"shape {item!r} is not of the form MxNxQ")
-        shapes.append(tuple(int(p) for p in parts))
-    if not shapes:
-        raise ValueError("no shapes given")
-    return shapes
-
-
-def _cmd_autotune(args: argparse.Namespace) -> int:
-    from .backends import Autotuner, AutotuneCache
-    from .engine import AbftConfig
-
-    try:
-        shapes = _parse_shapes(args.shapes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = AbftConfig(
-        block_size=args.block_size, p=args.p, scheme=args.scheme
-    )
-    cache = AutotuneCache(args.cache)
-    tuner = Autotuner(cache, repeats=args.repeats)
-    code = 0
-    for m, n, q in shapes:
-        cached = tuner.lookup(
-            m, n, q, dtype=np.dtype(np.float64), config=config
-        )
-        if args.expect_cached:
-            if cached is None:
-                print(
-                    f"FAIL: {m}x{n}x{q} has no cached winner in {cache.path}",
-                    file=sys.stderr,
-                )
-                code = 1
-                continue
-            choice, served_from_cache = cached, True
-        else:
-            served_from_cache = cached is not None and not args.force
-            choice = (
-                cached
-                if served_from_cache
-                else tuner.tune(
-                    m, n, q, config=config, force=args.force, seed=args.seed
-                )
-            )
-        tile = "full" if choice.tile is None else str(choice.tile)
-        source = "cached" if served_from_cache else "tuned"
-        print(
-            f"{m}x{n}x{q}: backend={choice.backend} tile={tile} "
-            f"{choice.per_call_s * 1e3:.3f} ms/call "
-            f"(numpy baseline {choice.baseline_per_call_s * 1e3:.3f} ms, "
-            f"speedup {choice.speedup:.2f}x, {source})"
-        )
-    print(f"cache: {cache.path} ({len(cache)} entries)")
-    return code
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table1":
         return _cmd_table1()
@@ -1294,10 +1128,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_bench(args)
     if args.command == "model":
         return _cmd_model(args)
-    if args.command == "backends":
-        return _cmd_backends(args)
-    if args.command == "autotune":
-        return _cmd_autotune(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -67,11 +67,6 @@ class ClusterConfig:
     start_method:
         ``multiprocessing`` start method for workers (``"spawn"`` by
         default: safe in threaded parents, identical cross-platform).
-    autotune_cache:
-        Path of the shared on-disk
-        :class:`~repro.backends.autotune.AutotuneCache` workers consult,
-        so every shard inherits tuned winners instead of re-tuning;
-        ``None`` leaves each worker on the default cache path.
     drain_timeout_s:
         How long :meth:`~repro.cluster.frontend.ClusterFrontend.stop`
         waits for in-flight requests when draining.
@@ -88,7 +83,6 @@ class ClusterConfig:
     restart_workers: bool = True
     max_restarts: int = 8
     start_method: str = "spawn"
-    autotune_cache: str | None = None
     drain_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:

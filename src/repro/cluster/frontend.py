@@ -10,7 +10,7 @@ generator, the chaos harness and the CLI drive it unchanged.
 
 Routing
     Requests route by consistent hash of their **plan key** — operand
-    shapes, dtypes, config and backend pin — so repeated traffic for one
+    shapes, dtypes and config — so repeated traffic for one
     plan lands on the same shard and keeps its plan cache, workspace
     pools and micro-batch coalescing hot.  The ring walk is
     load-bounded: a key spills past a shard holding
@@ -83,8 +83,6 @@ class _Pending:
     payload_b: tuple
     config: object
     deadline_s: float | None
-    backend: str | None
-    exclude_backends: tuple
     key: tuple
     shard: int | None = None
     incarnation: int = 0
@@ -246,8 +244,6 @@ class ClusterFrontend:
         config=None,
         deadline_s: float | None = None,
         request_id: str | None = None,
-        backend: str | None = None,
-        exclude_backends: tuple[str, ...] = (),
     ) -> Future:
         """Submit one multiplication; returns a future of the response.
 
@@ -266,14 +262,7 @@ class ClusterFrontend:
             self._seq += 1
             seq = self._seq
         rid = request_id if request_id is not None else f"c{seq}"
-        key = (
-            a.shape,
-            b.shape,
-            str(a.dtype),
-            str(b.dtype),
-            config,
-            backend,
-        )
+        key = (a.shape, b.shape, str(a.dtype), str(b.dtype), config)
         payload_a = self._publisher.publish(a)
         payload_b = self._publisher.publish(b)
         pending = _Pending(
@@ -284,8 +273,6 @@ class ClusterFrontend:
             payload_b=payload_b,
             config=config,
             deadline_s=deadline_s,
-            backend=backend,
-            exclude_backends=tuple(exclude_backends),
             key=key,
         )
         with self._lock:
@@ -604,8 +591,6 @@ class ClusterFrontend:
                 pending.payload_b,
                 pending.config,
                 pending.deadline_s,
-                pending.backend,
-                pending.exclude_backends,
             )
         )
 

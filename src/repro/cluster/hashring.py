@@ -1,7 +1,7 @@
 """Consistent-hash ring used by the cluster frontend for plan-key routing.
 
-The ring maps *plan keys* — the (shape, dtype, config, backend) identity
-of a request — to worker shards so that repeated traffic for one plan
+The ring maps *plan keys* — the (shape, dtype, config) identity of a
+request — to worker shards so that repeated traffic for one plan
 lands on the same worker, keeping its engine plan cache, workspace pools
 and batch coalescing hot.  Virtual nodes smooth the key distribution;
 the hash is :func:`hashlib.blake2b` over the key's ``repr`` so placement

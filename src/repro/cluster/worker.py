@@ -1,14 +1,14 @@
 """The cluster worker process: one serving shard behind a queue pair.
 
 Each worker runs a full single-process serving stack — its own
-:class:`~repro.engine.engine.MatmulEngine` (plan cache, workspace pools,
-backend negotiation) inside its own
+:class:`~repro.engine.engine.MatmulEngine` (plan cache, workspace pools)
+inside its own
 :class:`~repro.serve.server.MatmulServer` (admission queue,
 micro-batching, degradation ladder) — and speaks a tiny envelope
 protocol with the frontend over a pair of ``multiprocessing`` queues:
 
 * inbound ``("req", seq, request_id, payload_a, payload_b, config,
-  deadline_s, backend, exclude_backends)`` envelopes, or ``None`` to
+  deadline_s)`` envelopes, or ``None`` to
   drain and exit;
 * outbound ``("res", seq, MatmulResponse)`` results, ``("err", seq,
   message)`` for requests that died inside the worker, periodic
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 
-from ..backends.autotune import AutotuneCache, Autotuner
 from ..engine.engine import MatmulEngine
 from ..serve.server import MatmulServer
 from ..telemetry import MetricsRegistry
@@ -68,16 +67,7 @@ def worker_main(
     Runs as the target of a worker :class:`multiprocessing.Process`.
     """
     registry = MetricsRegistry()
-    autotuner = None
-    if config.autotune_cache is not None:
-        # Every shard shares the frontend-designated on-disk cache, so a
-        # winner tuned by any worker is inherited by all of them.
-        autotuner = Autotuner(
-            AutotuneCache(config.autotune_cache), metrics_registry=registry
-        )
-    engine = MatmulEngine(
-        config.serve.abft, registry=registry, autotuner=autotuner
-    )
+    engine = MatmulEngine(config.serve.abft, registry=registry)
     server = MatmulServer(config.serve, engine=engine, registry=registry)
     receiver = OperandReceiver()
     stop = threading.Event()
@@ -114,8 +104,6 @@ def worker_main(
                 payload_b,
                 abft_config,
                 deadline_s,
-                backend,
-                exclude_backends,
             ) = envelope
             try:
                 a = receiver.fetch(payload_a)
@@ -129,8 +117,6 @@ def worker_main(
                 config=abft_config,
                 deadline_s=deadline_s,
                 request_id=request_id,
-                backend=backend,
-                exclude_backends=tuple(exclude_backends),
             )
             fut.add_done_callback(
                 lambda f, seq=seq: _deliver(response_q, seq, f)

@@ -67,23 +67,6 @@ class AbftConfig:
         accumulate in float32 while results quantise back to the storage
         dtype.  ``"bfloat16"`` additionally requires the optional
         ``ml_dtypes`` package (numpy has no native bfloat16).
-    backend:
-        Compute backend for the GEMM stage: a registered backend name to
-        pin it, or ``"auto"`` (default) to let capability negotiation
-        choose (``AABFT_BACKEND`` env pin > autotuned winner > ``numpy``).
-        Automatic selection only picks bitwise-deterministic backends.
-    gemm_tile:
-        Result-tile edge of the canonical tile decomposition every
-        backend executes (see
-        :func:`repro.kernels.matmul_tiled.plan_tiles`).  ``None``
-        (default) is one full-result tile — the historical single-BLAS
-        behaviour.  The tile is a *plan* property: changing it changes
-        result bytes identically across deterministic backends.
-    exclude_backends:
-        Backend names capability negotiation must never select for this
-        config.  ``"numpy"`` cannot be excluded — it is the terminal
-        fallback that keeps failures never-silent.
-
     The dataclass is frozen and hashable, so it can key plan caches and be
     shared freely between threads.  Use :meth:`replace` to derive variants.
     """
@@ -96,9 +79,6 @@ class AbftConfig:
     scheme: str = "aabft"
     fixed_epsilon: float | None = None
     dtype: str | None = None
-    backend: str = "auto"
-    gemm_tile: int | None = None
-    exclude_backends: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -139,27 +119,6 @@ class AbftConfig:
                 "scheme='adaptive' (variance-adaptive tolerance) or "
                 "scheme='fixed' with an explicit tolerance"
             )
-        if not self.backend or not isinstance(self.backend, str):
-            raise ConfigurationError(
-                f"backend must be a non-empty str, got {self.backend!r}"
-            )
-        if self.gemm_tile is not None and self.gemm_tile < 1:
-            raise ValueError(f"gemm_tile must be >= 1, got {self.gemm_tile}")
-        if not isinstance(self.exclude_backends, tuple):
-            # Accept any iterable of names; the stored form must be
-            # hashable for plan-cache keys.
-            object.__setattr__(
-                self, "exclude_backends", tuple(self.exclude_backends)
-            )
-        if "numpy" in self.exclude_backends:
-            raise ConfigurationError(
-                "the 'numpy' backend cannot be excluded: it is the terminal "
-                "fallback of the never-silent fallback chain"
-            )
-        if self.backend != "auto" and self.backend in self.exclude_backends:
-            raise ConfigurationError(
-                f"backend {self.backend!r} is pinned and excluded at once"
-            )
 
     def top_p(self, inner_dim: int) -> int:
         """The ``p`` a product of inner length ``inner_dim`` searches.
@@ -186,10 +145,4 @@ class AbftConfig:
             parts.append(f"epsilon={self.fixed_epsilon:g}")
         if self.dtype is not None:
             parts.append(f"dtype={self.dtype}")
-        if self.backend != "auto":
-            parts.append(f"backend={self.backend}")
-        if self.gemm_tile is not None:
-            parts.append(f"gemm_tile={self.gemm_tile}")
-        if self.exclude_backends:
-            parts.append(f"exclude={','.join(self.exclude_backends)}")
         return "AbftConfig(" + ", ".join(parts) + ")"

@@ -4,13 +4,14 @@
 single :func:`~repro.abft.multiply.aabft_matmul` call would rebuild from
 scratch:
 
-* **execution plans** — per-call-signature dtype resolution, backend
-  negotiation, layouts, scratch workspaces and bound-scheme objects,
-  LRU-cached (see :mod:`repro.engine.plan`), one lookup per call;
-* **side products** — every route multiplies the raw operands once
-  (``C = A @ B``, the result itself) and checks ``C``'s block sums against
-  three thin checksum GEMMs (:mod:`repro.kernels.sideproduct`); operands
-  are never padded, interleaved or stripped;
+* **execution plans** — per-call-signature dtype resolution, layouts,
+  scratch workspaces and bound-scheme objects, LRU-cached (see
+  :mod:`repro.engine.plan`), one lookup per call;
+* **side products** — every route multiplies the raw operands once with
+  ``np.matmul`` (``C = A @ B``, the result itself) and checks ``C``'s
+  block sums against three thin checksum GEMMs
+  (:mod:`repro.kernels.sideproduct`); operands are never padded,
+  interleaved or stripped;
 * **operand encodings** — :meth:`MatmulEngine.encode` returns a reusable
   :class:`EncodedOperand` handle, so one encoding of ``A`` serves many
   ``A @ B_i`` products (the iterative-solver pattern);
@@ -64,14 +65,6 @@ from ..abft.providers import (
     SEAEpsilonProvider,
 )
 from ..abft.result import AbftResult
-from ..backends.autotune import Autotuner, AutotuneCache
-from ..backends.registry import (
-    ENV_BACKEND,
-    BackendRegistry,
-    BackendSelection,
-    default_registry,
-    negotiate,
-)
 from ..bounds.upper_bound import TopP
 from ..errors import ConfigurationError, ShapeError
 from ..fp.constants import LOW_PRECISION_NAMES, format_for_name
@@ -290,16 +283,6 @@ class MatmulEngine:
         :func:`repro.telemetry.get_registry`) to fold the engine into a
         process-wide scrape — engines sharing a registry then share
         counters.
-    backends:
-        The :class:`~repro.backends.registry.BackendRegistry` the GEMM
-        stage dispatches through; defaults to the process-wide registry
-        with the ``numpy`` and ``blocked`` backends.
-    autotuner:
-        The :class:`~repro.backends.autotune.Autotuner` consulted when a
-        config's backend is ``"auto"`` and neither a config nor an
-        ``AABFT_BACKEND`` pin applies.  Defaults to one reading the
-        on-disk winner cache (lookups only — timing trials never run
-        inline; use :meth:`autotune` or ``aabft autotune``).
 
     The engine is thread-safe: the plan cache, workspace pools and metrics
     are lock-protected, and result objects are independent.
@@ -315,8 +298,6 @@ class MatmulEngine:
         plan_cache_size: int = 128,
         max_workers: int | None = None,
         registry: MetricsRegistry | None = None,
-        backends: BackendRegistry | None = None,
-        autotuner: Autotuner | None = None,
     ) -> None:
         self.config = config if config is not None else AbftConfig()
         if not isinstance(self.config, AbftConfig):
@@ -370,26 +351,6 @@ class MatmulEngine:
             "Plan-cache accounting, refreshed on stats()",
             ("event",),
         )
-        self._backends = backends if backends is not None else default_registry()
-        self._autotuner = (
-            autotuner
-            if autotuner is not None
-            else Autotuner(
-                AutotuneCache(),
-                registry=self._backends,
-                metrics_registry=reg,
-            )
-        )
-        self._m_backend_dispatch = reg.counter(
-            "abft_backend_dispatch_total",
-            "GEMM-stage dispatches per compute backend",
-            ("backend",),
-        )
-        self._m_backend_fallbacks = reg.counter(
-            "abft_backend_fallbacks_total",
-            "Never-silent fallbacks to the numpy backend",
-            ("backend", "reason"),
-        )
         self._m_pipe_fallbacks = reg.counter(
             "abft_pipeline_fallbacks_total",
             "Batched execution-mode fallbacks by reason (never silent)",
@@ -405,16 +366,6 @@ class MatmulEngine:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    @property
-    def backends(self) -> BackendRegistry:
-        """The compute-backend registry this engine negotiates against."""
-        return self._backends
-
-    @property
-    def autotuner(self) -> Autotuner:
-        """The autotuner consulted for ``backend="auto"`` configs."""
-        return self._autotuner
-
     def matmul(self, a, b, *, config: AbftConfig | None = None) -> AbftResult:
         """One protected multiplication ``a @ b``.
 
@@ -490,10 +441,9 @@ class MatmulEngine:
             raw matrix or an :class:`EncodedOperand` handle.
         policy:
             The :class:`~repro.engine.policy.ExecutionPolicy` selecting the
-            execution mode (``auto`` | ``serial`` | ``fused``) plus backend
-            pin and exclusions.  Defaults to ``ExecutionPolicy()``
-            (mode ``auto``: ``fused`` whenever the batch meets its
-            preconditions).
+            execution mode (``auto`` | ``serial`` | ``fused``).  Defaults
+            to ``ExecutionPolicy()`` (mode ``auto``: ``fused`` whenever the
+            batch meets its preconditions).
         config:
             Overrides the engine's default :class:`AbftConfig`.
 
@@ -523,13 +473,6 @@ class MatmulEngine:
                     f"{len(pair)} operands"
                 )
             pairs.append(pair)
-        if policy.backend is not None:
-            cfg = cfg.replace(backend=policy.backend)
-        if policy.exclude_backends:
-            merged = dict.fromkeys(
-                cfg.exclude_backends + policy.exclude_backends
-            )
-            cfg = cfg.replace(exclude_backends=tuple(merged))
         self._m_batched.inc()
         if not pairs:
             self._m_exec_mode.labels(mode="serial").inc()
@@ -549,47 +492,18 @@ class MatmulEngine:
             return run_fused(self, a_items, b_items, cfg)
         return self._run_serial_batch(pairs, cfg)
 
-    def autotune(
-        self,
-        m: int,
-        n: int,
-        q: int,
-        *,
-        dtype=np.float64,
-        config: AbftConfig | None = None,
-        force: bool = False,
-    ):
-        """Run backend/tile timing trials for one call signature.
-
-        Times every available deterministic backend over the candidate
-        tile set on operands of the *encoded* GEMM shapes, persists the
-        winner to the autotune cache, and returns the
-        :class:`~repro.backends.autotune.TunedChoice`.  Subsequent
-        ``backend="auto"`` calls with this signature pick the winner up
-        through capability negotiation.
-        """
-        cfg = self._resolve_config(config)
-        return self._autotuner.tune(
-            m, n, q, dtype=dtype, config=cfg, force=force
-        )
-
     def set_chaos_hook(self, hook) -> None:
         """Install (or clear, with ``None``) the chaos/test-injection seam.
 
         The hook is invoked from whichever thread executes the work, as
-        ``hook(event, *, backend=None, c_fc=None)``:
+        ``hook(event, *, c_fc=None)``:
 
         * ``event in ("encode", "multiply", "check")`` — fired when a
           stage completes, on every execution path (single call, serial
           and fused batches).  Sleeping here injects a stage stall; the
           stall is *not* charged to the stage timers, so the stage costs
           keep measuring real work.  Stage hooks must not raise.
-        * ``event == "dispatch"`` (``backend=<name>``) — fired just
-          before the GEMM stage executes on a compute backend.  An
-          exception raised here flows through the engine's never-silent
-          numpy fallback exactly like a real backend failure (the numpy
-          retry does not re-fire the hook).
-        * ``event == "result"`` (``backend=<name>``, ``c_fc=<array>``) —
+        * ``event == "result"`` (``c_fc=<array>``) —
           fired once per product with the full-checksum matrix assembled
           from the side products; the engine copies the hook's in-place
           changes back into ``C``, ``R``, ``K`` and ``X`` before the
@@ -799,7 +713,6 @@ class MatmulEngine:
         a_raw = a if isinstance(a, EncodedOperand) else _as_matrix(a)
         b_raw = b if isinstance(b, EncodedOperand) else _as_matrix(b)
         plan = self._plan(cfg, a_raw.dtype, b_raw.dtype, a_raw.shape, b_raw.shape)
-        cfg = plan.config
         storage_dtype = plan.storage_dtype
         quantize = storage_dtype != plan.dtype
 
@@ -809,10 +722,12 @@ class MatmulEngine:
         self._add_seconds("encode", time.perf_counter() - t0)
         provider = self._make_provider(cfg, plan, enc_a, enc_b)
 
-        # --- multiply (dispatched through the plan's backend) ------------
+        # --- multiply ---------------------------------------------------
         t0 = time.perf_counter()
-        sp, used_backend, dispatch_fallback = self._products(plan, enc_a, enc_b)
-        self._result_hook(used_backend, sp, plan)
+        sp = side_products(
+            enc_a.data, enc_a.checksums, enc_b.data, enc_b.checksums
+        )
+        self._result_hook(sp, plan)
         if quantize:
             # Simulate low-precision result storage: C round-trips through
             # the storage dtype (the checksum products stay in the compute
@@ -840,8 +755,6 @@ class MatmulEngine:
             row_layout=plan.row_layout,
             col_layout=plan.col_layout,
             provider=provider,
-            backend=used_backend,
-            backend_fallback=plan.selection_fallback or dispatch_fallback,
             products=sp,
         )
 
@@ -890,32 +803,20 @@ class MatmulEngine:
     ) -> ExecutionPlan:
         """The execution plan of one call signature, built on a miss.
 
-        The key holds everything dtype resolution, negotiation and the
-        plan depend on: both operand dtypes and shapes, the config, the
-        ``AABFT_BACKEND`` pin, the autotune cache's
-        generation (bumped by every ``put`` and ``clear``) and the backend
-        registry's (bumped by every ``register``).  A hit replays
-        the fallback counters the negotiation incremented, so a fallback
-        is counted on every call, never only on the first.
+        The key holds everything dtype resolution and the plan depend on:
+        both operand dtypes and shapes, and the config.
         """
-        key = (
-            a_dtype, b_dtype, a_shape, b_shape, cfg,
-            os.environ.get(ENV_BACKEND),
-            self._autotuner.cache.generation, self._backends.generation,
-        )
-        plan, hit = self._plans.get(
+        key = (a_dtype, b_dtype, a_shape, b_shape, cfg)
+        plan, _hit = self._plans.get(
             key,
             lambda: self._build_plan(key, cfg, a_dtype, b_dtype, a_shape, b_shape),
         )
-        if hit:
-            for counter in plan.replay:
-                counter.inc()
         return plan
 
     def _build_plan(
         self, key, cfg: AbftConfig, a_dtype, b_dtype, a_shape, b_shape
     ) -> ExecutionPlan:
-        """Resolve dtypes, negotiate and build the plan of one signature."""
+        """Resolve dtypes and build the plan of one signature."""
         storage_dtype, dtype = _resolve_storage_compute(cfg, a_dtype, b_dtype)
         if a_shape[1] != b_shape[0]:
             raise ShapeError(
@@ -923,113 +824,12 @@ class MatmulEngine:
             )
         m, n = a_shape
         q = b_shape[1]
-        replay: list = []
-        cfg, selection_fallback = self._negotiate(cfg, m, n, q, dtype, replay)
         plan = build_plan(m, n, q, dtype, cfg)
         plan.key = key
         plan.storage_dtype = storage_dtype
-        plan.selection_fallback = selection_fallback
-        plan.replay = tuple(replay)
         return plan
 
-    def _negotiate(
-        self,
-        cfg: AbftConfig,
-        m: int,
-        n: int,
-        q: int,
-        dtype: np.dtype,
-        replay: list,
-    ) -> tuple[AbftConfig, str | None]:
-        """Resolve ``backend="auto"`` for one signature.
-
-        Returns the *effective* config — carrying a concrete backend and
-        tile, so it keys the plan cache — plus the never-silent
-        backend-selection fallback text (``None`` when the requested
-        backend was selected).  A rejected backend candidate falls back
-        to ``numpy`` and is counted in ``abft_backend_fallbacks_total``;
-        the counter is appended to ``replay``.
-        """
-        selection: BackendSelection = negotiate(
-            cfg, m, n, q, dtype,
-            registry=self._backends,
-            autotuner=self._autotuner,
-        )
-        fallback_text = None
-        if selection.fallback_from is not None:
-            counter = self._m_backend_fallbacks.labels(
-                backend=selection.fallback_from, reason="selection"
-            )
-            counter.inc()
-            replay.append(counter)
-            fallback_text = (
-                f"selection fell back from {selection.fallback_from!r} "
-                f"to 'numpy': {selection.fallback_reason}"
-            )
-        if cfg.backend != selection.backend or cfg.gemm_tile != selection.tile:
-            cfg = cfg.replace(backend=selection.backend, gemm_tile=selection.tile)
-        return cfg, fallback_text
-
-    def _products(
-        self,
-        plan: ExecutionPlan,
-        enc_a: EncodedOperand,
-        enc_b: EncodedOperand,
-    ) -> tuple[SideProducts, str, str | None]:
-        """The side products ``C``, ``R``, ``K``, ``X`` on the plan's backend.
-
-        Returns ``(products, backend_used, fallback_text)``; see
-        :meth:`_dispatch`.
-        """
-        return self._dispatch(
-            plan,
-            lambda gemm: side_products(
-                enc_a.data, enc_a.checksums, enc_b.data, enc_b.checksums, gemm
-            ),
-        )
-
-    def _dispatch(self, plan: ExecutionPlan, compute):
-        """Run ``compute(gemm)`` with ``gemm`` the plan backend's GEMM.
-
-        Every GEMM runs over the backend's canonical tile list.  Returns
-        ``(compute's result, backend_used, fallback_text)``.  A
-        dispatch-time backend failure (import error, OOM, failed
-        self-check) recomputes on ``numpy`` with the *same* tile geometry
-        — result bytes stay the plan's canonical bytes — and is recorded,
-        never swallowed.
-        """
-        name = plan.backend_name
-        self._m_backend_dispatch.labels(backend=name).inc()
-        hook = self._chaos_hook
-
-        def run(backend_name: str):
-            backend = self._backends.get(backend_name)
-            return compute(
-                lambda x, y: backend.matmul(x, y, tile=plan.tile, pool=plan.pool)
-            )
-
-        try:
-            if hook is not None:
-                # Chaos seam: a raising hook emulates a backend failure
-                # and rides the real never-silent fallback below.
-                hook("dispatch", backend=name)
-            # Resolve through the engine's registry (plan.backend() uses
-            # the process-wide one) so custom registries dispatch too.
-            return run(name), name, None
-        except Exception as exc:
-            if name == "numpy":
-                raise
-            self._m_backend_fallbacks.labels(
-                backend=name, reason="dispatch"
-            ).inc()
-            return run("numpy"), "numpy", (
-                f"dispatch on {name!r} failed "
-                f"({type(exc).__name__}: {exc}); recomputed on 'numpy'"
-            )
-
-    def _result_hook(
-        self, backend: str, sp: SideProducts, plan: ExecutionPlan
-    ) -> None:
+    def _result_hook(self, sp: SideProducts, plan: ExecutionPlan) -> None:
         """Fire the ``result`` chaos event on the assembled ``C_fc``.
 
         The hook's in-place changes are copied back into ``C``, ``R``,
@@ -1039,7 +839,7 @@ class MatmulEngine:
         if hook is None:
             return
         c_fc = assemble_full_checksum(sp, plan.row_layout, plan.col_layout)
-        hook("result", backend=backend, c_fc=c_fc)
+        hook("result", c_fc=c_fc)
         scatter_full_checksum(c_fc, sp, plan.row_layout, plan.col_layout)
 
     def _make_provider(

@@ -19,8 +19,8 @@ mode ``auto`` picks whenever :func:`fused_supported` holds) instead of
   :func:`~repro.abft.grids.aabft_tolerance_grids` call over the
   concatenated column top-p data, and compared against the group's
   discrepancy grids in one pass;
-* **single dispatch** — one plan lookup (which carries the negotiated
-  config) and one set of stage timers for the whole batch.
+* **single dispatch** — one plan lookup and one set of stage timers for
+  the whole batch.
 
 Results — data, full-checksum matrices, reports, tolerances — are
 **bitwise identical** to sequential :meth:`~repro.engine.MatmulEngine.
@@ -147,14 +147,11 @@ class GroupProducts:
 
     ``stack`` holds the stacked products when one stacked call served the
     group (``None`` on the per-pair path); ``items`` the per-pair products
-    (views of the stack, or each pair's own); ``backend`` / ``fallback``
-    the one dispatch that computed them.
+    (views of the stack, or each pair's own).
     """
 
     stack: SideProducts | None
     items: list
-    backend: str
-    fallback: str | None
 
 
 #: Smallest per-pair result a stacked ``C`` may serve.  A stacked GEMM
@@ -186,28 +183,25 @@ def group_products(engine, plan, enc_a, enc_bs, stacked_b=None) -> GroupProducts
     if verdict is not False and stacked_b is None:
         stacked_b = np.hstack([eb.data for eb in enc_bs])
 
-    def compute(gemm):
-        a, ea = enc_a.data, enc_a.checksums
-        thin = [
-            (gemm(ea, eb.data), gemm(a, eb.checksums), gemm(ea, eb.checksums))
-            for eb in enc_bs
+    a, ea = enc_a.data, enc_a.checksums
+    thin = [
+        (np.matmul(ea, eb.data), np.matmul(a, eb.checksums),
+         np.matmul(ea, eb.checksums))
+        for eb in enc_bs
+    ]
+    per_pair = stacked = None
+    if verdict is not True:
+        per_pair = [
+            SideProducts(c=np.matmul(a, eb.data), r=r, k=k, x=x)
+            for eb, (r, k, x) in zip(enc_bs, thin)
         ]
-        per_pair = stacked = None
-        if verdict is not True:
-            per_pair = [
-                SideProducts(c=gemm(a, eb.data), r=r, k=k, x=x)
-                for eb, (r, k, x) in zip(enc_bs, thin)
-            ]
-        if verdict is not False:
-            stacked = SideProducts(
-                c=gemm(a, stacked_b),
-                r=np.hstack([r for r, _k, _x in thin]),
-                k=np.hstack([k for _r, k, _x in thin]),
-                x=np.hstack([x for _r, _k, x in thin]),
-            )
-        return per_pair, stacked
-
-    (per_pair, stacked), used, fallback = engine._dispatch(plan, compute)
+    if verdict is not False:
+        stacked = SideProducts(
+            c=np.matmul(a, stacked_b),
+            r=np.hstack([r for r, _k, _x in thin]),
+            k=np.hstack([k for _r, k, _x in thin]),
+            x=np.hstack([x for _r, _k, x in thin]),
+        )
     if verdict is None:
         ok = _probe(plan, stacked, per_pair)
         with engine._stacked_lock:
@@ -216,13 +210,12 @@ def group_products(engine, plan, enc_a, enc_bs, stacked_b=None) -> GroupProducts
             engine._m_pipe_fallbacks.labels(reason="bitwise_probe").inc()
     if verdict is True:
         group = GroupProducts(
-            stacked, [stacked.item(j, count) for j in range(count)],
-            used, fallback,
+            stacked, [stacked.item(j, count) for j in range(count)]
         )
     else:
-        group = GroupProducts(None, per_pair, used, fallback)
+        group = GroupProducts(None, per_pair)
     for sp in group.items:
-        engine._result_hook(used, sp, plan)
+        engine._result_hook(sp, plan)
     return group
 
 
@@ -295,8 +288,7 @@ def group_reports(engine, plan, cfg, enc_a, enc_bs, group: GroupProducts):
     return reports
 
 
-def make_result(engine, plan, cfg, enc_a, enc_b, sp, report, backend,
-                fallback, *, copy_c: bool):
+def make_result(engine, plan, cfg, enc_a, enc_b, sp, report, *, copy_c: bool):
     """One pair's :class:`AbftResult` (``copy_c`` for views of a stack)."""
     provider = AABFTEpsilonProvider.from_arrays(
         scheme=plan.scheme,
@@ -319,8 +311,6 @@ def make_result(engine, plan, cfg, enc_a, enc_b, sp, report, backend,
         row_layout=plan.row_layout,
         col_layout=plan.col_layout,
         provider=provider,
-        backend=backend,
-        backend_fallback=fallback,
         products=sp,
     )
 
@@ -341,7 +331,7 @@ def run_fused(engine, a_items, b_items, cfg) -> list:
     plan = engine._plan(
         cfg, first_a.dtype, first_b.dtype, first_a.shape, first_b.shape
     )
-    cfg, dtype = plan.config, plan.dtype
+    dtype = plan.dtype
 
     # --- encode (deduplicated; distinct right operands stacked) ---------
     t0 = time.perf_counter()
@@ -381,20 +371,12 @@ def run_fused(engine, a_items, b_items, cfg) -> list:
             group,
         )
         for j, i in enumerate(idx):
-            outputs[i] = (
-                group.items[j], reports[j], group.backend,
-                group.fallback, group.stack is not None,
-            )
+            outputs[i] = (group.items[j], reports[j], group.stack is not None)
     engine._add_seconds("check", time.perf_counter() - t0)
 
     return [
-        make_result(
-            engine, plan, cfg, ea, eb, sp, report, used,
-            plan.selection_fallback or fallback, copy_c=copy_c,
-        )
-        for ea, eb, (sp, report, used, fallback, copy_c) in zip(
-            enc_a, enc_b, outputs
-        )
+        make_result(engine, plan, cfg, ea, eb, sp, report, copy_c=copy_c)
+        for ea, eb, (sp, report, copy_c) in zip(enc_a, enc_b, outputs)
     ]
 
 

@@ -2,8 +2,8 @@
 
 Building a protected multiplication involves setup that is identical
 across repeated calls of one signature: the ``(storage, compute)`` dtype
-resolution, backend negotiation, partitioned layouts for both
-encoded axes, the bound-scheme object and scratch workspaces.
+resolution, partitioned layouts for both encoded axes, the bound-scheme
+object and scratch workspaces.
 :class:`ExecutionPlan` bundles that setup; :class:`PlanCache` keeps plans in
 an LRU keyed by the call signature, so iterative solvers and batch
 campaigns pay for it once.
@@ -42,8 +42,8 @@ class WorkspacePool:
     """Thread-safe free-lists of scratch buffers keyed by ``(shape, dtype)``.
 
     Every :class:`ExecutionPlan` owns one pool; the engine recycles its
-    internal scratch arrays — top-p search workspaces, GEMM tile staging
-    and tolerance grids — through it across warm calls and fused batches.
+    internal scratch arrays — top-p search workspaces and tolerance
+    grids — through it across warm calls and fused batches.
 
     Safety rules the engine observes (see ``docs/API.md``):
 
@@ -124,21 +124,9 @@ class ExecutionPlan:
     pool:
         The plan's :class:`WorkspacePool` — every scratch buffer of a call
         executed under this plan is taken from and given back to it.
-    backend_name / tile:
-        The compute backend the GEMM stage dispatches through and the
-        result-tile edge of the canonical tile list it executes
-        (``None`` = one full-result tile).  The engine resolves
-        ``backend="auto"`` through capability negotiation when it builds
-        the plan, so plans always carry a concrete backend.
     storage_dtype:
         The dtype results are stored in (``dtype`` unless a low-precision
         storage format computes in float32).
-    selection_fallback:
-        The never-silent backend-selection fallback text the negotiation
-        produced (``None`` when the requested backend was selected).
-    replay:
-        The fallback counters negotiation incremented; the engine
-        increments them again on every call that reuses the plan.
     pair_order:
         Where each encoded vector of both operands sits in the stacked
         top-p search of a small raw pair (:func:`~repro.kernels.
@@ -159,18 +147,8 @@ class ExecutionPlan:
     scheme: BoundScheme
     fmt: FloatFormat
     pool: WorkspacePool = field(repr=False, default=None)
-    backend_name: str = "numpy"
-    tile: int | None = None
     storage_dtype: np.dtype | None = None
-    selection_fallback: str | None = None
-    replay: tuple = ()
     pair_order: np.ndarray | None = None
-
-    def backend(self):
-        """The shared :class:`~repro.backends.base.Backend` instance."""
-        from ..backends import get_backend
-
-        return get_backend(self.backend_name)
 
 
 def build_plan(
@@ -210,12 +188,6 @@ def build_plan(
         col_layout=col_layout,
         scheme=scheme,
         fmt=fmt,
-        # Plans built outside the engine's negotiation step (tests, direct
-        # build_plan calls) treat an unresolved "auto" as the reference.
-        backend_name=(
-            "numpy" if config.backend == "auto" else config.backend
-        ),
-        tile=config.gemm_tile,
         storage_dtype=np.dtype(dtype),
         pair_order=(
             pair_search_order(m, n, q, dtype, bs)

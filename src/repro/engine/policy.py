@@ -41,32 +41,15 @@ class ExecutionPolicy:
         (heterogeneous shapes, non-``aabft`` scheme, …) falls back to
         ``serial`` — the fallback is counted in
         ``abft_pipeline_fallbacks_total``, never silent.
-    backend:
-        Pin the GEMM stage to a named compute backend for this batch;
-        ``None`` keeps the config's choice (``"auto"`` negotiation by
-        default).
-    exclude_backends:
-        Backends negotiation must not consider for this batch (merged
-        with the config's own exclusions).
     """
 
     mode: str = "auto"
-    backend: str | None = None
-    exclude_backends: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.mode not in EXECUTION_MODES:
             raise ConfigurationError(
                 f"mode must be one of {EXECUTION_MODES}, got {self.mode!r}"
             )
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ConfigurationError(
-                f"backend must be a backend name or None, got "
-                f"{type(self.backend).__name__}"
-            )
-        object.__setattr__(
-            self, "exclude_backends", tuple(self.exclude_backends)
-        )
 
     def replace(self, **changes) -> "ExecutionPolicy":
         """A copy with the given fields replaced (validated again)."""

@@ -62,15 +62,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Declarative description of one injection campaign.
-
-    ``backend`` routes the fault-free reference multiplication through a
-    named compute backend (see :mod:`repro.backends`), so injection sites
-    land inside backend-dispatched tile compute and detection coverage can
-    be reported per backend.  ``gemm_tile`` overrides the tile edge; by
-    default a non-numpy backend tiles at ``block_size``, mapping the
-    paper's grid of result blocks onto backend tiles.
-    """
+    """Declarative description of one injection campaign."""
 
     n: int
     suite: WorkloadSuite
@@ -85,8 +77,6 @@ class CampaignConfig:
     schemes: tuple[str, ...] = ("aabft", "sea")
     seed: int = 0
     device: DeviceSpec = K20C
-    backend: str = "numpy"
-    gemm_tile: int | None = None
 
     def __post_init__(self) -> None:
         if self.n % self.block_size:
@@ -99,14 +89,6 @@ class CampaignConfig:
         unknown = set(self.schemes) - {"aabft", "sea"}
         if unknown:
             raise ConfigurationError(f"unknown schemes: {sorted(unknown)}")
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ConfigurationError(
-                f"backend must be a non-empty string, got {self.backend!r}"
-            )
-        if self.gemm_tile is not None and self.gemm_tile < 1:
-            raise ConfigurationError(
-                f"gemm_tile must be >= 1, got {self.gemm_tile}"
-            )
 
 
 @dataclass
@@ -247,7 +229,7 @@ class FaultCampaign:
         self._m_outcomes = self.registry.counter(
             "abft_campaign_outcomes_total",
             "Per-scheme detection outcomes of injected faults",
-            ("scheme", "site", "severity", "outcome", "backend"),
+            ("scheme", "site", "severity", "outcome"),
         )
         self._m_false_positive_baseline = self.registry.counter(
             "abft_campaign_baseline_false_positives_total",
@@ -274,7 +256,7 @@ class FaultCampaign:
 
         self.a_cc, self.row_layout = encode_partitioned_columns(pair.a, bs)
         self.b_rc, self.col_layout = encode_partitioned_rows(pair.b, bs)
-        self.c_fc = self._reference_multiply(self.a_cc, self.b_rc)
+        self.c_fc = self.a_cc @ self.b_rc
         self.inner_dim = pair.a.shape[1]
 
         self.row_tops = top_p_of_rows(self.a_cc, cfg.p)
@@ -365,44 +347,6 @@ class FaultCampaign:
         )
         self._prepared = True
 
-    def _reference_multiply(
-        self, a_cc: np.ndarray, b_rc: np.ndarray
-    ) -> np.ndarray:
-        """Fault-free reference product, dispatched through the configured
-        compute backend.
-
-        A non-numpy backend tiles the result at ``gemm_tile`` (default:
-        ``block_size``), so injection sites sit inside backend tile
-        compute.  An unavailable backend falls back to numpy with the
-        reason recorded on :attr:`backend_fallback` — never silently.
-        """
-        cfg = self.config
-        self.backend_used = cfg.backend
-        self.backend_fallback: str | None = None
-        if cfg.backend == "numpy" and cfg.gemm_tile is None:
-            return a_cc @ b_rc
-        from ..backends import BackendUnavailable, default_registry
-
-        tile = cfg.gemm_tile
-        if tile is None and cfg.backend != "numpy":
-            tile = cfg.block_size
-        registry = default_registry()
-        try:
-            backend = registry.get(cfg.backend)
-            available, reason = backend.availability()
-            if not available:
-                raise BackendUnavailable(reason or "unavailable")
-            return backend.matmul(a_cc, b_rc, tile=tile)
-        except Exception as exc:
-            if cfg.backend == "numpy":
-                raise
-            self.backend_used = "numpy"
-            self.backend_fallback = (
-                f"campaign fell back from {cfg.backend!r} to 'numpy': "
-                f"{exc}"
-            )
-            return registry.get("numpy").matmul(a_cc, b_rc, tile=tile)
-
     # ------------------------------------------------------------------
     def inject_one(self, spec: FaultSpec) -> InjectionRecord:
         """Apply one fault and evaluate classification + detection."""
@@ -466,7 +410,6 @@ class FaultCampaign:
                 site=site,
                 severity=severity,
                 outcome=_detection_outcome(hit, record.is_critical),
-                backend=self.backend_used,
             ).inc()
         return record
 

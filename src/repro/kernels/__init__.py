@@ -10,7 +10,7 @@ from .correct import CorrectionKernel
 from .encode import EncodeColumnChecksumsKernel, EncodeRowChecksumsKernel
 from .encode_fused import FusedEncodeResult, fused_encode
 from .matmul import BlockMatmulKernel, sequential_inner_product
-from .matmul_tiled import RegisterTiledMatmulKernel, plan_tiles, tiled_matmul
+from .matmul_tiled import RegisterTiledMatmulKernel, tiled_matmul
 from .norms import ColumnNormKernel, RowNormKernel
 from .reduce import TopPReduceKernel
 from .tmr import TmrCompareKernel, TmrOutcome, run_tmr_matmul
@@ -29,7 +29,6 @@ __all__ = [
     "TmrCompareKernel",
     "TmrOutcome",
     "TopPReduceKernel",
-    "plan_tiles",
     "run_tmr_matmul",
     "sequential_inner_product",
     "tiled_matmul",

@@ -31,74 +31,18 @@ from ..faults.injector import FaultInjector
 from ..faults.model import FaultSite
 from ..gpusim.kernel import BlockContext, Dim3, Kernel, LaunchConfig
 
-__all__ = ["RegisterTiledMatmulKernel", "plan_tiles", "tiled_matmul"]
-
-
-def plan_tiles(m: int, q: int, tile: int | None) -> list[tuple[int, int, int, int]]:
-    """The canonical row-major tile decomposition of an ``m x q`` result.
-
-    Returns ``(row_start, row_end, col_start, col_end)`` quadruples covering
-    the result exactly once.  ``tile=None`` yields the single full-result
-    tile — the engine's historical one-BLAS-call behaviour.  Edge tiles are
-    clipped, never padded.
-
-    Every compute backend executes *this* list (serially, on a thread pool,
-    or on a device); because the per-tile BLAS calls are identical across
-    backends and their output regions are disjoint, results are bitwise
-    identical by construction.  (Subdividing a BLAS call is **not** bitwise
-    neutral — OpenBLAS edge handling is shape-dependent — which is exactly
-    why the tile geometry is part of the execution plan rather than a
-    backend-private choice.)
-    """
-    if tile is None:
-        return [(0, m, 0, q)]
-    if tile < 1:
-        raise ValueError(f"tile must be >= 1, got {tile}")
-    if tile >= m and tile >= q:
-        # Fast path: a tile covering the whole result is the full-result
-        # tile — identical to tile=None, skipping the staging machinery.
-        return [(0, m, 0, q)]
-    return [
-        (i0, min(i0 + tile, m), j0, min(j0 + tile, q))
-        for i0 in range(0, m, tile)
-        for j0 in range(0, q, tile)
-    ]
+__all__ = ["RegisterTiledMatmulKernel", "tiled_matmul"]
 
 
 def tiled_matmul(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    tile: int | None = None,
-    out: np.ndarray | None = None,
-    executor=None,
-    pool=None,
+    a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``a @ b`` over the canonical tile list of :func:`plan_tiles`.
+    """``a @ b`` on the host BLAS: one full-result ``np.matmul`` call.
 
-    This is the host-level execution primitive shared by every compute
-    backend: the ``numpy`` backend runs the tiles serially, the ``blocked``
-    backend maps them over a ``ThreadPoolExecutor`` (the paper's CUDA grid
-    of result blocks, one worker per block).  Tile writes are disjoint, so
-    concurrent execution is race-free and bitwise identical to the serial
-    order.
-
-    Parameters
-    ----------
-    tile:
-        Result-tile edge length; ``None`` executes one full-result BLAS
-        call (bitwise equal to ``a @ b``).
-    out:
-        Optional preallocated result buffer.
-    executor:
-        An object with ``map(fn, iterable)`` (e.g. a
-        ``concurrent.futures.ThreadPoolExecutor``) to run tiles
-        concurrently; ``None`` runs them in order.
-    pool:
-        Optional :class:`~repro.engine.plan.WorkspacePool`; when given,
-        each tile is computed into a pooled contiguous staging buffer and
-        copied into place (identical bytes — numpy buffers non-contiguous
-        gufunc outputs the same way internally).
+    The engine's multiply stage computes ``C`` exactly this way
+    (:func:`~repro.kernels.sideproduct.side_products`); perfbench's stage
+    replay times that stage through this entry point.  ``out`` is an
+    optional preallocated result buffer.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError("tiled_matmul operands must be 2-D matrices")
@@ -111,29 +55,7 @@ def tiled_matmul(
         out = np.empty((m, q), dtype=np.result_type(a, b))
     elif out.shape != (m, q):
         raise ShapeError(f"out has shape {out.shape}, expected {(m, q)}")
-    tiles = plan_tiles(m, q, tile)
-    if len(tiles) == 1:
-        np.matmul(a, b, out=out)
-        return out
-
-    def run_tile(bounds: tuple[int, int, int, int]) -> None:
-        i0, i1, j0, j1 = bounds
-        dst = out[i0:i1, j0:j1]
-        if pool is not None:
-            buf = pool.take((i1 - i0, j1 - j0), out.dtype)
-            np.matmul(a[i0:i1, :], b[:, j0:j1], out=buf)
-            dst[...] = buf
-            pool.give(buf)
-        else:
-            np.matmul(a[i0:i1, :], b[:, j0:j1], out=dst)
-
-    if executor is None:
-        for bounds in tiles:
-            run_tile(bounds)
-    else:
-        # Draining the map iterator propagates the first tile exception.
-        for _ in executor.map(run_tile, tiles):
-            pass
+    np.matmul(a, b, out=out)
     return out
 
 

@@ -37,7 +37,6 @@ of the stacked grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -54,10 +53,6 @@ __all__ = [
     "assemble_full_checksum",
     "scatter_full_checksum",
 ]
-
-#: ``gemm(x, y) -> x @ y``: the backend's canonical tiled GEMM.
-Gemm = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
 
 @dataclass
 class SideProducts:
@@ -158,10 +153,13 @@ def _pad_tail(x: np.ndarray, bs: int, dtype) -> np.ndarray:
 
 
 def side_products(
-    a: np.ndarray, ea: np.ndarray, b: np.ndarray, eb: np.ndarray, gemm: Gemm
+    a: np.ndarray, ea: np.ndarray, b: np.ndarray, eb: np.ndarray
 ) -> SideProducts:
-    """``C``, ``R``, ``K`` and ``X`` through one GEMM entry point."""
-    return SideProducts(c=gemm(a, b), r=gemm(ea, b), k=gemm(a, eb), x=gemm(ea, eb))
+    """``C``, ``R``, ``K`` and ``X``, each one ``np.matmul`` call."""
+    return SideProducts(
+        c=np.matmul(a, b), r=np.matmul(ea, b),
+        k=np.matmul(a, eb), x=np.matmul(ea, eb),
+    )
 
 
 def _row_block_sums(x: np.ndarray, bs: int, out: np.ndarray) -> None:

@@ -160,8 +160,8 @@ class ProtectionPlanner:
     Parameters
     ----------
     base_config:
-        The config every per-layer config derives from (block size, p,
-        omega and backend pins carry over).
+        The config every per-layer config derives from (block size, p
+        and omega carry over).
     coverage_target:
         Minimum fraction of the model's flops that must run protected;
         unchecked layers upgrade (highest intensity first — they are the

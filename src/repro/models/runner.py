@@ -3,8 +3,8 @@
 The :class:`ModelRunner` walks a :class:`~repro.models.planner.ModelPlan`
 layer by layer through a :class:`~repro.engine.engine.MatmulEngine`:
 protected layers run as ABFT-protected multiplications under their
-planned per-layer config (submitted via ``execute_batch`` so policy
-negotiation applies), unchecked layers run the raw GEMM with an explicit
+planned per-layer config (submitted via ``execute_batch`` under the
+runner's execution policy), unchecked layers run the raw GEMM with an explicit
 ``unchecked`` record — never silently.
 
 Two properties the serving and campaign layers build on:
@@ -138,7 +138,6 @@ class LayerRun:
     degraded: bool = False
     injected: bool = False
     seconds: float = 0.0
-    backend: str | None = None
 
     @property
     def protected(self) -> bool:
@@ -156,7 +155,6 @@ class LayerRun:
             "degraded": self.degraded,
             "injected": self.injected,
             "seconds": self.seconds,
-            "backend": self.backend,
         }
 
 
@@ -309,7 +307,7 @@ class ModelRunner:
             served rung below the planned one is recorded as degraded —
             never silently.
         policy:
-            Execution policy for protected layers (backend pins etc.).
+            Execution policy for protected layers (the batch mode).
         """
         if plan is None:
             plan = ProtectionPlanner().plan(model)
@@ -427,7 +425,6 @@ class ModelRunner:
             # No check ran: an unchecked layer can never detect (the
             # explicit per-layer coverage hole the gate accounts).
         y = y.astype(storage)
-        run.backend = "numpy"
         return _activate(layer, y, storage, compute), None
 
     def _run_protected(
@@ -467,8 +464,7 @@ class ModelRunner:
                 return
             hook_state["armed"] = False
             # Layouts derived from the live result shape (encoded rows =
-            # data + data/BS), so injection coordinates stay correct even
-            # if negotiation reshaped the plan.
+            # data + data/BS).
             bs = cfg.block_size
             row_layout = PartitionedLayout(
                 data_rows=c_fc.shape[0] // (bs + 1) * bs, block_size=bs
@@ -495,7 +491,6 @@ class ModelRunner:
                 self.engine.set_chaos_hook(None)
         result = results[0]
         run.detected = bool(result.report.error_detected)
-        run.backend = result.backend
         if run.scheme == "adaptive":
             self._record_adaptive_threshold(layer.name, result)
         if run.detected and injection is None:

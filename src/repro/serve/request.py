@@ -72,17 +72,6 @@ class MatmulRequest:
     request_id:
         Client-chosen identifier; the server assigns ``r<seq>`` when left
         ``None``.
-    backend:
-        Pin the GEMM stage to a named compute backend (see
-        :mod:`repro.backends`); ``None`` keeps the config's choice
-        (``"auto"`` by default).  An unknown pin or an invalid
-        pin/exclude combination is a request **rejection**
-        (``"invalid_backend"``); a known-but-unavailable pin walks the
-        engine's never-silent fallback, recorded on
-        :attr:`MatmulResponse.backend_fallback`.
-    exclude_backends:
-        Backends negotiation must not consider for this request
-        (``"numpy"`` cannot be excluded — it is the terminal fallback).
     """
 
     a: object
@@ -90,16 +79,12 @@ class MatmulRequest:
     config: AbftConfig | None = None
     deadline_s: float | None = None
     request_id: str | None = None
-    backend: str | None = None
-    exclude_backends: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(
                 f"deadline_s must be positive, got {self.deadline_s}"
             )
-        if self.exclude_backends:
-            self.exclude_backends = tuple(self.exclude_backends)
 
 
 @dataclass
@@ -145,12 +130,6 @@ class MatmulResponse:
         death (always 0 for single-process serving; see
         :mod:`repro.cluster`).  Requeued work is re-executed, never
         silently dropped — this field is its never-silent record.
-    backend:
-        The compute backend that executed the GEMM stage (``None`` for
-        rejected responses).
-    backend_fallback:
-        ``None`` when the selected backend served the call; otherwise the
-        never-silent record of why execution fell back to ``numpy``.
     """
 
     request_id: str
@@ -167,8 +146,6 @@ class MatmulResponse:
     service_s: float = 0.0
     batch_size: int = 0
     requeues: int = 0
-    backend: str | None = None
-    backend_fallback: str | None = None
 
     @property
     def ok(self) -> bool:

@@ -45,7 +45,7 @@ from ..abft.correction import correct_single_error
 from ..abft.encoding import strip_encoding
 from ..engine.config import AbftConfig
 from ..engine.engine import EncodedOperand, MatmulEngine, _operand_dtype
-from ..errors import ConfigurationError, CorrectionError
+from ..errors import CorrectionError
 from ..telemetry import MetricsRegistry, get_registry, span
 from .config import ServeConfig, rung_for_fraction
 from .request import (
@@ -204,15 +204,12 @@ class MatmulServer:
         config: AbftConfig | None = None,
         deadline_s: float | None = None,
         request_id: str | None = None,
-        backend: str | None = None,
-        exclude_backends: tuple[str, ...] = (),
     ) -> Future:
         """Submit one multiplication; returns a future of the response.
 
         Never blocks and never raises for capacity: over-capacity and
         post-shutdown submissions resolve immediately to a ``REJECTED``
-        response with an explicit reason — including an unknown
-        ``backend`` pin (``"invalid_backend"``).
+        response with an explicit reason.
         """
         return self.submit_request(
             MatmulRequest(
@@ -221,8 +218,6 @@ class MatmulServer:
                 config=config,
                 deadline_s=deadline_s,
                 request_id=request_id,
-                backend=backend,
-                exclude_backends=exclude_backends,
             )
         )
 
@@ -231,15 +226,6 @@ class MatmulServer:
         fut: Future = Future()
         cfg = self.config
         abft_cfg = request.config if request.config is not None else cfg.abft
-        try:
-            abft_cfg = self._merge_backend_choice(request, abft_cfg)
-        except ConfigurationError:
-            with self._cond:
-                self._seq += 1
-                if request.request_id is None:
-                    request.request_id = f"r{self._seq}"
-            self._resolve_rejection(fut, request.request_id, "invalid_backend")
-            return fut
         now = self._clock()
         deadline_s = (
             request.deadline_s
@@ -383,37 +369,6 @@ class MatmulServer:
         )
         self._thread.start()
 
-    def _merge_backend_choice(
-        self, request: MatmulRequest, abft_cfg: AbftConfig
-    ) -> AbftConfig:
-        """Apply a request's backend pin/exclusions to its effective config.
-
-        Raises :class:`~repro.errors.ConfigurationError` for an unknown
-        pinned backend name or an invalid pin/exclude combination — the
-        caller turns that into an ``"invalid_backend"`` rejection.  A
-        known-but-unavailable pin is *not* rejected here: the engine's
-        negotiation falls back to numpy and records why on the result.
-        """
-        if request.backend is None and not request.exclude_backends:
-            return abft_cfg
-        if (
-            request.backend is not None
-            and request.backend not in self.engine.backends
-        ):
-            raise ConfigurationError(
-                f"unknown backend {request.backend!r}; registered: "
-                f"{', '.join(self.engine.backends.names())}"
-            )
-        replacements: dict = {}
-        if request.backend is not None:
-            replacements["backend"] = request.backend
-        if request.exclude_backends:
-            merged = dict.fromkeys(
-                tuple(abft_cfg.exclude_backends) + request.exclude_backends
-            )
-            replacements["exclude_backends"] = tuple(merged)
-        return abft_cfg.replace(**replacements)
-
     def _group_key(self, request: MatmulRequest, abft_cfg: AbftConfig) -> tuple:
         return (
             _operand_shape(request.a),
@@ -541,7 +496,6 @@ class MatmulServer:
             c=c,
             report=None,
             scheme=None,
-            backend="numpy",
         )
 
     def _run_checked(
@@ -583,8 +537,6 @@ class MatmulServer:
                     corrected=corrected,
                     recomputed=recomputed,
                     retries=retries,
-                    backend=result.backend,
-                    backend_fallback=result.backend_fallback,
                 )
             )
         return responses
@@ -629,8 +581,6 @@ class MatmulServer:
                     row_layout=result.row_layout,
                     col_layout=result.col_layout,
                     provider=result.provider,
-                    backend=result.backend,
-                    backend_fallback=result.backend_fallback,
                 )
                 self._m_retries.labels(kind="corrected").inc()
                 return patched, True, False, 0

@@ -96,21 +96,6 @@ class TestQueueBurst:
         assert report.ok, [b.to_dict() for b in report.breaches]
 
 
-class TestBackendFailure:
-    def test_dispatch_faults_ride_the_never_silent_fallback(self):
-        recipes = [
-            ChaosRecipe(
-                kind="backend_failure", site="blocked", intensity=1.0,
-                duration_s=0.4, name="kill-blocked",
-            )
-        ]
-        report = run_chaos(recipes, SLOSpec(), seed=8, **FAST)
-        [outcome] = report.recipes
-        assert outcome.injections > 0  # probes hit the poisoned backend
-        assert report.result.silent_wrong == 0
-        assert report.ok, [b.to_dict() for b in report.breaches]
-
-
 class TestStallBreach:
     def test_stall_past_the_ceiling_breaches_p99(self):
         recipes = [

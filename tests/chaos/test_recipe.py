@@ -15,23 +15,26 @@ from repro.errors import ConfigurationError
 
 
 class TestValidation:
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="unknown chaos kind"):
             ChaosRecipe(kind="meteor_strike", site="dc", intensity=1.0)
+        # The retired dispatch-failure kind is unknown too: the engine
+        # has no backend fallback left to exercise.
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps(
+            [{"kind": "backend_failure", "site": "blocked", "intensity": 1.0}]
+        ))
+        with pytest.raises(ConfigurationError, match="unknown chaos kind"):
+            load_recipes(path)
 
     def test_stage_stall_site_must_be_a_stage(self):
         with pytest.raises(ConfigurationError, match="targets sites"):
             ChaosRecipe(kind="stage_stall", site="gemm", intensity=0.01)
 
-    def test_backend_failure_refuses_numpy(self):
-        with pytest.raises(ConfigurationError, match="terminal"):
-            ChaosRecipe(kind="backend_failure", site="numpy", intensity=1.0)
-
-    @pytest.mark.parametrize("kind", ["backend_failure", "bitflip"])
+    @pytest.mark.parametrize("kind", ["bitflip"])
     def test_probability_kinds_bounded(self, kind):
-        site = "blocked" if kind == "backend_failure" else "gemm"
         with pytest.raises(ConfigurationError, match="probability"):
-            ChaosRecipe(kind=kind, site=site, intensity=1.5)
+            ChaosRecipe(kind=kind, site="gemm", intensity=1.5)
 
     def test_queue_burst_intensity_is_a_count(self):
         with pytest.raises(ConfigurationError, match="whole request count"):

@@ -1,13 +1,11 @@
-"""The signature-keyed plan cache: negotiation is cached, never stale."""
+"""The signature-keyed plan cache: one plan per call signature."""
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.backends.autotune import Autotuner, AutotuneCache, TunedChoice
-from repro.backends.blocked import BlockedBackend
-from repro.backends.numpy_backend import NumpyBackend
-from repro.backends.registry import ENV_BACKEND, BackendRegistry
-from repro.engine import AbftConfig, MatmulEngine
+from repro.engine import MatmulEngine
 from repro.errors import ConfigurationError
 from repro.telemetry import MetricsRegistry
 
@@ -19,60 +17,38 @@ def operands():
 
 
 @pytest.fixture
-def engine(tmp_path, monkeypatch):
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    monkeypatch.delenv("AABFT_FUSION", raising=False)
-    reg = MetricsRegistry()
-    backends = BackendRegistry()  # private: tests register into it
-    backends.register("numpy", NumpyBackend)
-    backends.register("blocked", BlockedBackend)
-    tuner = Autotuner(
-        AutotuneCache(tmp_path / "autotune.json"),
-        registry=backends,
-        metrics_registry=reg,
-    )
-    with MatmulEngine(registry=reg, backends=backends, autotuner=tuner) as eng:
+def engine():
+    with MatmulEngine(registry=MetricsRegistry()) as eng:
         yield eng
 
 
-class Unavailable(BlockedBackend):
-    """A registered backend whose availability probe always fails."""
-
-    def availability(self):
-        return False, "no device"
-
-
-def counter(engine, name, **labels):
-    metric = engine.registry.counter(name, labelnames=tuple(labels))
-    return metric.labels(**labels).get()
-
-
 class TestSignatureKey:
-    def test_env_backend_pin_reroutes_the_next_call(
-        self, engine, operands, monkeypatch
-    ):
-        a, b = operands
-        assert engine.matmul(a, b).backend == "numpy"
-        monkeypatch.setenv(ENV_BACKEND, "blocked")
-        rerouted = engine.matmul(a, b)
-        assert rerouted.backend == "blocked"
-        assert np.array_equal(rerouted.c, np.matmul(a, b))
-        monkeypatch.delenv(ENV_BACKEND)
-        assert engine.matmul(a, b).backend == "numpy"
-        # Each environment state is its own signature; the return to the
-        # first state hits its plan.
-        stats = engine.stats()
-        assert (stats.plan_misses, stats.plan_hits) == (2, 1)
-
     def test_retired_fusion_env_var_keys_nothing(
-        self, engine, operands, monkeypatch
+        self, operands, monkeypatch, tmp_path
     ):
+        # The retired GEMM-selection inputs: the fusion and backend pins
+        # and an autotune cache file whose winner names a tiled backend.
+        # None of them may reach the plan key or the product's bytes.
         a, b = operands
-        first = engine.matmul(a, b)
-        monkeypatch.setenv("AABFT_FUSION", "fused")
-        second = engine.matmul(a, b)
-        assert engine.stats().plan_misses == 1
+        cache = tmp_path / "autotune.json"
+        cache.write_text(json.dumps({
+            "version": 1,
+            "entries": {
+                "70x40x50/float64/aabft/bs64/p2": {
+                    "backend": "blocked", "tile": 16,
+                    "per_call_s": 1e-6, "baseline_per_call_s": 1.0,
+                },
+            },
+        }))
+        monkeypatch.setenv("AABFT_AUTOTUNE_CACHE", str(cache))
+        with MatmulEngine(registry=MetricsRegistry()) as engine:
+            first = engine.matmul(a, b)
+            monkeypatch.setenv("AABFT_FUSION", "fused")
+            monkeypatch.setenv("AABFT_BACKEND", "blocked")
+            second = engine.matmul(a, b)
+            assert engine.stats().plan_misses == 1
         assert np.array_equal(first.c, np.matmul(a, b))
+        assert first.c.tobytes() == np.matmul(a, b).tobytes()
         assert first.c.tobytes() == second.c.tobytes()
         for x, y in ((first.report.column_disc, second.report.column_disc),
                      (first.report.row_disc, second.report.row_disc)):
@@ -87,96 +63,17 @@ class TestSignatureKey:
         stats = engine.stats()
         assert (stats.plan_misses, stats.plan_hits) == (3, 1)
 
-    def test_autotune_put_invalidates_the_cached_negotiation(
-        self, engine, operands
-    ):
+    def test_clear_plans_drops_the_entry(self, engine, operands):
         a, b = operands
-        cfg = engine.config
-        assert engine.matmul(a, b).backend == "numpy"
-        tuner = engine.autotuner
-        tuner.cache.put(
-            tuner.key(70, 40, 50, np.float64, cfg),
-            TunedChoice(
-                backend="blocked", tile=32, per_call_s=1.0,
-                baseline_per_call_s=2.0,
-            ),
-        )
-        tuned = engine.matmul(a, b)
-        assert tuned.backend == "blocked"
-        assert np.array_equal(tuned.c, np.matmul(a, b))
-        tuner.cache.clear()
-        assert engine.matmul(a, b).backend == "numpy"
-        assert engine.stats().plan_misses == 3
-
-    def test_engine_autotune_invalidates_the_cached_negotiation(
-        self, engine, operands
-    ):
-        a, b = operands
-        engine.matmul(a, b)
-        engine.matmul(a, b)
-        assert engine.stats().plan_misses == 1
-        engine.autotune(70, 40, 50, force=True)
-        engine.matmul(a, b)
-        assert engine.stats().plan_misses == 2
-
-    def test_autotune_lookups_count_per_plan_build(self, engine, operands):
-        a, b = operands
-        for _ in range(3):
-            engine.matmul(a, b)
-        assert counter(
-            engine, "abft_backend_autotune_total", event="cache_miss"
-        ) == 1.0  # one backend lookup, at the one build
-
-    def test_registering_a_backend_invalidates_the_cached_negotiation(
-        self, engine, operands
-    ):
-        a, b = operands
-        cfg = AbftConfig(backend="late")
-        assert engine.matmul(a, b, config=cfg).backend_fallback is not None
-        engine.backends.register("late", BlockedBackend)
-        assert engine.matmul(a, b, config=cfg).backend_fallback is None
-
-    def test_clear_plans_drops_the_entry(self, engine, operands, monkeypatch):
-        a, b = operands
-        monkeypatch.setenv(ENV_BACKEND, "blocked")
         engine.matmul(a, b)
         assert engine.plan_cache_size == 1
         engine.clear_plans()
         assert engine.plan_cache_size == 0
-        assert engine.matmul(a, b).backend == "blocked"
+        assert engine.matmul(a, b).c.tobytes() == np.matmul(a, b).tobytes()
         assert engine.stats().plan_misses == 2
 
 
 class TestFallbacksReplayed:
-    def test_unviable_pin_counts_a_selection_fallback_every_call(
-        self, engine, operands
-    ):
-        a, b = operands
-        engine.backends.register("offline", Unavailable)
-        cfg = AbftConfig(backend="offline")
-        for calls in range(1, 4):
-            result = engine.matmul(a, b, config=cfg)
-            assert result.backend == "numpy"
-            assert "no device" in result.backend_fallback
-            assert counter(
-                engine, "abft_backend_fallbacks_total",
-                backend="offline", reason="selection",
-            ) == calls
-        stats = engine.stats()
-        assert (stats.plan_misses, stats.plan_hits) == (1, 2)
-
-    def test_unviable_pin_counts_in_batches_too(self, engine, operands):
-        a, b = operands
-        engine.backends.register("offline", Unavailable)
-        cfg = AbftConfig(backend="offline")
-        for _ in range(2):
-            results = engine.execute_batch([(a, b), (a, b)], config=cfg)
-            assert all(r.backend_fallback is not None for r in results)
-        assert counter(
-            engine, "abft_backend_fallbacks_total",
-            backend="offline", reason="selection",
-        ) == 2.0  # once per batch: one plan lookup each
-
     def test_errors_cache_nothing(self, engine, operands):
         a, b = operands
         for _ in range(2):

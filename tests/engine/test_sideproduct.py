@@ -7,10 +7,9 @@ block sums of ``C`` against the thin checksum GEMMs ``R = EA @ B``,
 * its report equals the scalar reference check of the assembled
   full-checksum matrix, clean and with a bit flipped in any of the four
   products, for every scheme;
-* ``c`` is ``np.matmul``'s bytes on the numpy backend;
+* ``c`` is ``np.matmul``'s bytes;
 * no engine route pads, interleaves or strips an operand or result;
-* every route agrees bitwise (serial and fused batch, single-tile
-  fused online, blocked backend);
+* every route agrees bitwise (single calls, serial and fused batches);
 * a rank-1 product never raises (``p`` clamps to the inner length);
 * ``top_p_arrays`` is Algorithm 1's literal scan.
 """
@@ -446,9 +445,6 @@ class TestNoInterleavedLayout:
             engine.execute_batch(
                 [(a, b) for b in bs], policy=ExecutionPolicy(mode=mode)
             )
-        fresh_engine(AbftConfig(backend="blocked", gemm_tile=32)).matmul(
-            a, bs[0]
-        )
         layers = tuple(
             LayerSpec(f"l{i}", 32, 32, activation="none") for i in range(3)
         )
@@ -464,8 +460,6 @@ def _route_results(a, bs, dtype_cfg):
         routes[f"batch-{mode}"] = fresh_engine(dtype_cfg).execute_batch(
             [(a, b) for b in bs], policy=ExecutionPolicy(mode=mode)
         )
-    blocked_cfg = dtype_cfg.replace(backend="blocked")
-    routes["blocked"] = [fresh_engine(blocked_cfg).matmul(a, b) for b in bs]
     return routes
 
 

@@ -44,7 +44,6 @@ def reference_matmul(a, b, block_size=32, p=2):
         block_checksums(a, "a", block_size),
         b,
         block_checksums(b, "b", block_size),
-        np.matmul,
     )
     c_fc = assemble_full_checksum(products, row_layout, col_layout)
     provider = AABFTEpsilonProvider(

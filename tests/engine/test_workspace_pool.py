@@ -107,9 +107,9 @@ class TestHandleSafety:
 
 
 class TestConcurrency:
-    """The pool is shared by concurrent tile workers of the blocked
-    backend: takes/gives race, but a buffer must never be handed to two
-    owners at once."""
+    """The pool is shared by concurrent engine calls of one plan:
+    takes/gives race, but a buffer must never be handed to two owners at
+    once."""
 
     def test_racing_take_give_never_aliases(self):
         import threading
@@ -148,27 +148,3 @@ class TestConcurrency:
             t.join()
         assert errors == []
         assert pool.takes == 8 * 200
-
-    def test_blocked_backend_under_threaded_engine_calls(self):
-        import threading
-
-        engine = MatmulEngine()
-        cfg = AbftConfig(backend="blocked", gemm_tile=32)
-        rng = np.random.default_rng(11)
-        a = rng.uniform(-1, 1, (96, 64))
-        b = rng.uniform(-1, 1, (64, 80))
-        expected = engine.matmul(a, b, config=cfg).c_fc.tobytes()
-        failures: list[str] = []
-
-        def caller() -> None:
-            for _ in range(5):
-                result = engine.matmul(a, b, config=cfg)
-                if result.c_fc.tobytes() != expected:
-                    failures.append("bytes diverged under concurrency")
-
-        threads = [threading.Thread(target=caller) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert failures == []

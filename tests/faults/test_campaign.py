@@ -153,51 +153,14 @@ class TestFullRun:
         assert result.num_critical(FaultSite.INNER_MUL) == 0
 
 
-class TestBackendDispatch:
-    """Campaigns can run the reference product on any registered backend;
-    the injection sites then live inside backend-dispatched tile compute."""
-
-    def base_kwargs(self, **extra):
-        kwargs = dict(
-            n=128, suite=SUITE_UNIT, num_injections=8, block_size=64, seed=11
-        )
-        kwargs.update(extra)
-        return kwargs
-
-    def test_blocked_backend_matches_numpy_at_same_tile(self):
-        ref = FaultCampaign(
-            CampaignConfig(**self.base_kwargs(gemm_tile=64))
-        )
-        ref.prepare()
-        blocked = FaultCampaign(
-            CampaignConfig(**self.base_kwargs(backend="blocked"))
-        )
-        blocked.prepare()
-        assert blocked.backend_used == "blocked"
-        assert blocked.backend_fallback is None
-        # blocked defaults its tile to block_size=64: bytes must agree.
-        assert blocked.c_fc.tobytes() == ref.c_fc.tobytes()
-        # And the injected outcomes are byte-for-byte the same campaign.
-        ref_result = FaultCampaign(
-            CampaignConfig(**self.base_kwargs(gemm_tile=64))
-        ).run()
-        blocked_result = FaultCampaign(
-            CampaignConfig(**self.base_kwargs(backend="blocked"))
-        ).run()
-        assert [r.detected for r in blocked_result.records] == [
-            r.detected for r in ref_result.records
-        ]
-
-    def test_unavailable_backend_records_fallback(self):
+class TestReferenceProduct:
+    def test_reference_is_the_encoded_operands_product(self):
         campaign = FaultCampaign(
-            CampaignConfig(**self.base_kwargs(backend="missing"))
+            CampaignConfig(
+                n=128, suite=SUITE_UNIT, num_injections=8, block_size=64,
+                seed=11,
+            )
         )
         campaign.prepare()
-        assert campaign.backend_used == "numpy"
-        assert "missing" in campaign.backend_fallback
-
-    def test_backend_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            CampaignConfig(**self.base_kwargs(backend=""))
-        with pytest.raises(ConfigurationError):
-            CampaignConfig(**self.base_kwargs(gemm_tile=0))
+        expected = campaign.a_cc @ campaign.b_rc
+        assert campaign.c_fc.tobytes() == expected.tobytes()

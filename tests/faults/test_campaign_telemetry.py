@@ -38,10 +38,10 @@ class TestCampaignCounters:
 
         outcomes = reg.counter(
             "abft_campaign_outcomes_total",
-            labelnames=("scheme", "site", "severity", "outcome", "backend"),
+            labelnames=("scheme", "site", "severity", "outcome"),
         )
         per_scheme: dict[str, float] = {}
-        for (scheme, _site, _sev, _out, _bk), child in outcomes.children():
+        for (scheme, _site, _sev, _out), child in outcomes.children():
             per_scheme[scheme] = per_scheme.get(scheme, 0.0) + child.get()
         # One outcome sample per (injection, scheme).
         assert per_scheme == {
@@ -54,11 +54,11 @@ class TestCampaignCounters:
         result = FaultCampaign(campaign_config, registry=reg).run()
         outcomes = reg.counter(
             "abft_campaign_outcomes_total",
-            labelnames=("scheme", "site", "severity", "outcome", "backend"),
+            labelnames=("scheme", "site", "severity", "outcome"),
         )
         critical_counted = sum(
             child.get()
-            for (scheme, _site, severity, outcome, _bk), child in outcomes.children()
+            for (scheme, _site, severity, outcome), child in outcomes.children()
             if scheme == "aabft"
             and severity == "critical"
             and outcome in ("detected", "missed")
@@ -66,7 +66,7 @@ class TestCampaignCounters:
         assert critical_counted == result.num_critical()
         detected = sum(
             child.get()
-            for (scheme, _site, _sev, outcome, _bk), child in outcomes.children()
+            for (scheme, _site, _sev, outcome), child in outcomes.children()
             if scheme == "aabft" and outcome == "detected"
         )
         rate = result.detection_rate("aabft")

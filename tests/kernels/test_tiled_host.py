@@ -1,21 +1,12 @@
-"""Host-level tiled GEMM: canonical tile plans and bitwise execution.
-
-These are the primitives every compute backend shares (see
-:mod:`repro.backends`): all backends execute the *same* plan-derived tile
-list, so serial, thread-pooled and pool-staged execution must produce
-bitwise-identical bytes.
-"""
+"""Host-level GEMM: ``tiled_matmul`` is one bitwise ``np.matmul`` call."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.engine.plan import WorkspacePool
 from repro.errors import ShapeError
-from repro.kernels import plan_tiles, tiled_matmul
+from repro.kernels import tiled_matmul
 
 
 def operands(m=130, n=70, q=95, seed=5):
@@ -23,80 +14,24 @@ def operands(m=130, n=70, q=95, seed=5):
     return rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, (n, q))
 
 
-class TestPlanTiles:
-    def test_none_is_one_full_tile(self):
-        assert plan_tiles(10, 7, None) == [(0, 10, 0, 7)]
-
-    def test_tiles_cover_disjointly(self):
-        tiles = plan_tiles(10, 7, 4)
-        seen = np.zeros((10, 7), dtype=int)
-        for i0, i1, j0, j1 in tiles:
-            seen[i0:i1, j0:j1] += 1
-        assert np.all(seen == 1)
-
-    def test_edge_tiles_are_clipped(self):
-        assert plan_tiles(5, 5, 4)[-1] == (4, 5, 4, 5)
-
-    def test_oversized_tile_degenerates_to_full(self):
-        assert plan_tiles(5, 5, 100) == [(0, 5, 0, 5)]
-
-    def test_oversized_tile_matches_only_one_long_axis(self):
-        # tile covers the rows but not the columns: still a real grid.
-        assert plan_tiles(5, 12, 8) == [(0, 5, 0, 8), (0, 5, 8, 12)]
-
-    def test_row_major_order_is_canonical(self):
-        tiles = plan_tiles(8, 8, 4)
-        assert tiles == [(0, 4, 0, 4), (0, 4, 4, 8), (4, 8, 0, 4), (4, 8, 4, 8)]
-
-    def test_invalid_tile_rejected(self):
-        with pytest.raises(ValueError):
-            plan_tiles(8, 8, 0)
-
-
 class TestTiledMatmul:
     def test_single_tile_equals_blas_call(self):
         a, b = operands()
         assert tiled_matmul(a, b).tobytes() == (a @ b).tobytes()
 
-    def test_oversized_tile_is_bitwise_the_full_call_and_skips_staging(self):
-        # The plan_tiles fast path: a tile covering the whole result must
-        # behave exactly like tile=None — one BLAS call, no staging
-        # buffers taken from the pool.
-        class PoisonPool:
-            def take(self, shape, dtype=None):
-                raise AssertionError("fast path must not stage tiles")
-
-            def give(self, buffer):
-                raise AssertionError("fast path must not stage tiles")
-
-        a, b = operands()
-        result = tiled_matmul(a, b, tile=10_000, pool=PoisonPool())
-        assert result.tobytes() == tiled_matmul(a, b, tile=None).tobytes()
-
-    @pytest.mark.parametrize("tile", [16, 33, 64, 200])
-    def test_serial_parallel_and_staged_agree_bitwise(self, tile):
-        a, b = operands()
-        serial = tiled_matmul(a, b, tile=tile)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = tiled_matmul(a, b, tile=tile, executor=pool)
-        staged = tiled_matmul(a, b, tile=tile, pool=WorkspacePool())
-        assert serial.tobytes() == parallel.tobytes() == staged.tobytes()
-
     def test_float32_bitwise_identity(self):
         a, b = operands()
         a32, b32 = a.astype(np.float32), b.astype(np.float32)
-        serial = tiled_matmul(a32, b32, tile=33)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = tiled_matmul(a32, b32, tile=33, executor=pool)
-        assert serial.dtype == np.float32
-        assert serial.tobytes() == parallel.tobytes()
+        result = tiled_matmul(a32, b32)
+        assert result.dtype == np.float32
+        assert result.tobytes() == np.matmul(a32, b32).tobytes()
 
     def test_out_parameter_is_filled_in_place(self):
         a, b = operands()
         out = np.empty((a.shape[0], b.shape[1]))
-        returned = tiled_matmul(a, b, tile=32, out=out)
+        returned = tiled_matmul(a, b, out=out)
         assert returned is out
-        assert out.tobytes() == tiled_matmul(a, b, tile=32).tobytes()
+        assert out.tobytes() == (a @ b).tobytes()
 
     def test_shape_validation(self):
         a, b = operands()
@@ -106,19 +41,3 @@ class TestTiledMatmul:
             tiled_matmul(a[0], b)
         with pytest.raises(ShapeError):
             tiled_matmul(a, b, out=np.empty((1, 1)))
-
-    def test_worker_exceptions_propagate(self):
-        a, b = operands()
-
-        class Boom(Exception):
-            pass
-
-        class ExplodingPool:
-            def take(self, shape, dtype):
-                raise Boom("pool failure")
-
-            def give(self, buffer):
-                pass
-
-        with pytest.raises(Boom):
-            tiled_matmul(a, b, tile=32, pool=ExplodingPool())

@@ -396,103 +396,3 @@ class TestLifecycle:
         assert completed + rejected == len(futs)
         assert dropped == 0
         assert all(f.result() is not None for f in futs)
-
-
-class TestBackendRouting:
-    """Per-request backend pin/exclude merges into the batch AbftConfig."""
-
-    @pytest.fixture(autouse=True)
-    def clear_env_pin(self, monkeypatch):
-        # These tests assert the negotiated backend, so an ambient
-        # AABFT_BACKEND pin must not leak in.
-        monkeypatch.delenv("AABFT_BACKEND", raising=False)
-
-    def run_one(self, server, a, b, **submit_kwargs):
-        fut = server.submit(a, b, **submit_kwargs)
-        server.start()
-        server.stop(drain=True)
-        return fut.result()
-
-    def test_default_requests_report_numpy(self, operands):
-        a, bs = operands
-        response = self.run_one(make_server(), a, bs[0])
-        assert response.status is VerificationStatus.FULL
-        assert response.backend == "numpy"
-        assert response.backend_fallback is None
-
-    def test_pinned_backend_is_used_and_bitwise_identical(self, operands):
-        a, bs = operands
-        reference = self.run_one(make_server(), a, bs[0])
-        response = self.run_one(make_server(), a, bs[0], backend="blocked")
-        assert response.status is VerificationStatus.FULL
-        assert response.backend == "blocked"
-        assert response.backend_fallback is None
-        assert response.c.tobytes() == reference.c.tobytes()
-
-    def test_unknown_backend_pin_is_rejected(self, operands):
-        a, bs = operands
-        response = self.run_one(make_server(), a, bs[0], backend="imaginary")
-        assert response.status is VerificationStatus.REJECTED
-        assert response.rejected_reason == "invalid_backend"
-
-    def test_unavailable_pin_serves_with_recorded_fallback(self, operands):
-        from repro.backends import BackendRegistry, BlockedBackend, NumpyBackend
-
-        a, bs = operands
-
-        class Offline(BlockedBackend):
-            def availability(self):
-                return False, "no device"
-
-        backends = BackendRegistry()
-        backends.register("numpy", NumpyBackend)
-        backends.register("offline", Offline)
-        registry = MetricsRegistry()
-        server = make_server(
-            registry=registry,
-            engine=MatmulEngine(registry=registry, backends=backends),
-        )
-        response = self.run_one(server, a, bs[0], backend="offline")
-        assert response.status is VerificationStatus.FULL
-        assert response.backend == "numpy"
-        assert "offline" in response.backend_fallback
-        assert "no device" in response.backend_fallback
-        assert np.array_equal(response.c, np.matmul(a, bs[0]))
-
-    def test_exclude_backends_merges_into_config(self, operands):
-        a, bs = operands
-        server = make_server()
-        fut = server.submit(a, bs[0], exclude_backends=("blocked",))
-        server.start()
-        server.stop(drain=True)
-        response = fut.result()
-        assert response.status is VerificationStatus.FULL
-        assert response.backend == "numpy"
-
-    def test_backend_pins_split_batches(self, operands):
-        a, bs = operands
-        server = make_server()
-        f1 = server.submit(a, bs[0])
-        f2 = server.submit(a, bs[1], backend="blocked")
-        server.start()
-        server.stop(drain=True)
-        r1, r2 = f1.result(), f2.result()
-        assert (r1.backend, r2.backend) == ("numpy", "blocked")
-        # Different pins may not coalesce into one fused batch.
-        assert r1.batch_size == 1 and r2.batch_size == 1
-
-    def test_unchecked_responses_carry_numpy_backend(self):
-        # Severe deadline pressure drives the unchecked rung; even there
-        # the response says which backend computed the product.
-        rng = np.random.default_rng(3)
-        a = rng.uniform(-1, 1, (64, 64))
-        b = rng.uniform(-1, 1, (64, 8))
-        clock = FakeClock()
-        server = make_server(clock=clock)
-        fut = server.submit(a, b, deadline_s=10.0)
-        clock.t = 9.5  # 5% remaining -> unchecked rung
-        server.start()
-        server.stop(drain=True)
-        response = fut.result()
-        assert response.status is VerificationStatus.UNCHECKED
-        assert response.backend == "numpy"

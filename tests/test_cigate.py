@@ -9,13 +9,11 @@ import pytest
 from repro.cigate import (
     DEFAULT_COVERAGE_FLOOR,
     coverage_gate,
-    default_gate_backends,
     model_coverage_gate,
     pipeline_coverage_gate,
     run_ci_gate,
     throughput_gate,
 )
-from repro.backends import default_registry
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.telemetry import MetricsRegistry
@@ -63,46 +61,6 @@ class TestCoverageGate:
         assert gauges.labels(quantity="detection_rate").get() == result.measured
         assert gauges.labels(quantity="baseline_clean").get() == 1.0
         assert gauges.labels(quantity="critical_errors").get() > 0
-
-    def test_publishes_per_backend_gauges(self):
-        reg = MetricsRegistry()
-        result = coverage_gate(n=128, num_injections=80, registry=reg)
-        by_backend = reg.gauge(
-            "abft_ci_gate_coverage_by_backend",
-            labelnames=("backend", "quantity"),
-        )
-        assert (
-            by_backend.labels(backend="numpy", quantity="detection_rate").get()
-            == result.measured
-        )
-
-    def test_blocked_backend_gate(self):
-        reg = MetricsRegistry()
-        result = coverage_gate(
-            n=128, num_injections=80, backend="blocked", registry=reg
-        )
-        assert result.gate == "coverage[blocked]"
-        assert result.passed
-        assert "backend 'blocked'" in result.detail
-        by_backend = reg.gauge(
-            "abft_ci_gate_coverage_by_backend",
-            labelnames=("backend", "quantity"),
-        )
-        assert (
-            by_backend.labels(
-                backend="blocked", quantity="detection_rate"
-            ).get()
-            == result.measured
-        )
-
-    def test_unavailable_backend_fails_instead_of_remeasuring_numpy(self):
-        result = coverage_gate(
-            n=128, num_injections=80, backend="missing",
-            registry=MetricsRegistry(),
-        )
-        assert not result.passed
-        assert result.gate == "coverage[missing]"
-        assert "fell back" in result.detail
 
 
 class TestPipelineCoverageGate:
@@ -220,45 +178,20 @@ class TestThroughputGate:
 
 
 class TestRunCiGate:
-    def test_default_backends_start_with_numpy(self):
-        backends = default_gate_backends()
-        assert backends[0] == "numpy"
-        assert set(backends) <= set(default_registry().names())
-
     def test_clean_quick_run_exits_zero(self):
         # chaos=False: the chaos-slo gate has its own live-traffic suite
         # in tests/chaos/test_gate.py; this also pins the skip behaviour.
         reg = MetricsRegistry()
         code, results = run_ci_gate(quick=True, chaos=False, registry=reg)
         assert code == 0
-        expected = [
-            "coverage" if b == "numpy" else f"coverage[{b}]"
-            for b in default_gate_backends()
-        ] + ["pipeline-coverage", "model-coverage", "throughput"]
-        assert [r.gate for r in results] == expected
+        assert [r.gate for r in results] == [
+            "coverage", "pipeline-coverage", "model-coverage", "throughput",
+        ]
         assert "chaos-slo" not in [r.gate for r in results]
         assert all(r.passed for r in results)
         pass_gauge = reg.gauge("abft_ci_gate_pass", labelnames=("gate",))
         assert pass_gauge.labels(gate="coverage").get() == 1.0
         assert pass_gauge.labels(gate="throughput").get() == 1.0
-
-    def test_explicit_backend_list(self, tmp_path):
-        reg = MetricsRegistry()
-        code, results = run_ci_gate(
-            quick=True,
-            chaos=False,
-            backends=("numpy", "blocked"),
-            baseline_path=tiny_baseline(tmp_path, engine_seconds=1000.0),
-            registry=reg,
-        )
-        assert code == 0
-        assert [r.gate for r in results] == [
-            "coverage",
-            "coverage[blocked]",
-            "pipeline-coverage",
-            "model-coverage",
-            "throughput",
-        ]
 
     def test_injected_regression_exits_nonzero(self, tmp_path):
         reg = MetricsRegistry()
@@ -266,7 +199,6 @@ class TestRunCiGate:
             quick=True,
             chaos=False,
             coverage_floor=1.01,
-            backends=("numpy",),
             baseline_path=tiny_baseline(tmp_path, engine_seconds=1e-4),
             registry=reg,
         )

@@ -21,11 +21,13 @@ class TestParser:
             "serve",
             "loadgen",
             "bench",
-            "backends",
-            "autotune",
         ):
             args = parser.parse_args([cmd])
             assert args.command == cmd
+        # The GEMM-selection commands and options are retired.
+        for argv in (["backends"], ["autotune"], ["ci-gate", "--backends", "numpy"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -176,35 +178,6 @@ class TestParser:
     def test_bench_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--which", "bogus"])
-
-    def test_ci_gate_backends_option(self):
-        args = build_parser().parse_args(
-            ["ci-gate", "--backends", "numpy,blocked"]
-        )
-        assert args.backends == "numpy,blocked"
-        assert build_parser().parse_args(["ci-gate"]).backends is None
-
-    def test_autotune_options(self):
-        args = build_parser().parse_args(
-            [
-                "autotune",
-                "--shapes", "128x128x64",
-                "--block-size", "32",
-                "--p", "3",
-                "--scheme", "sea",
-                "--repeats", "5",
-                "--cache", "tune.json",
-                "--force",
-                "--expect-cached",
-            ]
-        )
-        assert args.shapes == "128x128x64"
-        assert args.block_size == 32
-        assert args.p == 3
-        assert args.scheme == "sea"
-        assert args.repeats == 5
-        assert args.cache == "tune.json"
-        assert args.force and args.expect_cached
 
 
 class TestModelParser:
@@ -411,33 +384,6 @@ class TestExecution:
         ) == 2
         err = capsys.readouterr().err
         assert "--baseline cannot be combined with --which all" in err
-
-    def test_backends_lists_registry(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "numpy" in out
-        assert "blocked" in out
-
-    def test_autotune_caches_and_reuses(self, capsys, tmp_path):
-        cache = tmp_path / "autotune.json"
-        argv = [
-            "autotune", "--shapes", "96x96x48", "--repeats", "1",
-            "--cache", str(cache),
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "tuned" in first and cache.exists()
-        # Second run must serve the winner from the cache without timing.
-        assert main(argv + ["--expect-cached"]) == 0
-        second = capsys.readouterr().out
-        assert "cached" in second
-
-    def test_autotune_expect_cached_fails_on_cold_cache(self, capsys, tmp_path):
-        assert main(
-            ["autotune", "--shapes", "96x96x48",
-             "--cache", str(tmp_path / "cold.json"), "--expect-cached"]
-        ) == 1
-        assert "no cached winner" in capsys.readouterr().err
 
     def test_serve_reads_jsonl_requests(self, capsys, tmp_path):
         spec = tmp_path / "requests.jsonl"

@@ -9,7 +9,6 @@ import repro
 SUBPACKAGES = [
     "repro.abft",
     "repro.analysis",
-    "repro.backends",
     "repro.bounds",
     "repro.chaos",
     "repro.cluster",
